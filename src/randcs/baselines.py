@@ -19,6 +19,9 @@ from .sensing import Signal
 
 _PIVOT_RTOL = 1e-12
 
+# column-norm block width: bounds the squared-entry temporary to about k * 256 doubles
+_NORM_BLOCK_COLS = 256
+
 
 class RankDeficiencyError(RuntimeError):
     """The selected-column least-squares system is numerically singular."""
@@ -66,6 +69,20 @@ class OmpState:
     coefficients: np.ndarray
 
 
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(A, axis=0) bit for bit, without an A-sized temporary:
+    # the same squares, reduced per column in the same order.  The column
+    # blocks are split evenly so that none is a single column, which numpy
+    # would reduce pairwise instead of row by row for a row-major A.
+    n = A.shape[1]
+    blocks = -(-n // _NORM_BLOCK_COLS)
+    out = np.empty(n)
+    for b in range(blocks):
+        cols = slice(b * n // blocks, (b + 1) * n // blocks)
+        np.sqrt(np.add.reduce(A[:, cols] * A[:, cols], axis=0), out=out[cols])
+    return out
+
+
 def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
     t = c.shape[0]
     x = np.empty(t)
@@ -96,7 +113,7 @@ def omp_steps(
     if not 0 <= s_budget <= min(k, n):
         raise ValueError(f"sparsity budget must lie in [0, min(k, n)], got {s_budget}")
 
-    col_norms = np.linalg.norm(A, axis=0)
+    col_norms = _column_norms(A)
     safe_norms = np.where(col_norms > 0, col_norms, np.inf)
     residual = b.astype(np.float64, copy=True)
     Q = np.empty((k, s_budget))

@@ -25,6 +25,7 @@ from .sensing import (
     NOISE_MODES,
     SIGNAL_STREAM,
     RecoveryConfig,
+    _check_noise_level,
     build_ensemble,
     generate_binary_signal,
     measure,
@@ -91,6 +92,7 @@ class ExperimentGrid:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
+        _check_noise_level(self.sigma_w)
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         for f in self.sparsity_fractions:

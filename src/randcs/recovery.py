@@ -72,7 +72,8 @@ def back_project(
 
     Lazily stored ensembles are regenerated into a scratch block of bounded
     size (at least one matrix), a block at a time, so the memory footprint
-    stays independent of the round count.
+    stays independent of the round count.  The matrices of a block are
+    sampled in parallel on the shared sampling pool.
     """
     matrices = ensemble.matrices
     _check_rounds(rounds, min(len(matrices), measurements.vectors.shape[0]))
@@ -88,7 +89,7 @@ def back_project(
     t = 0
     for start in range(0, len(todo), block_rounds):
         block = todo[start : start + block_rounds]
-        views = [matrices.regenerate_into(r, scratch[i]) for i, r in enumerate(block)]
+        views = matrices.regenerate_many(block, scratch)
         for A, r in zip(views, block):
             per_round[t] = matvec_transposed(A, measurements.vectors[r])
             t += 1

@@ -9,15 +9,21 @@ matrix, noise vector, or signal is reproducible in isolation:
 * stream 0               -- the signal
 * stream r, r in [1, 2*r0]   -- sensing matrix r
 * stream 2*r0 + r         -- noise vector r
+
+Because every round has its own stream, the matrices of an ensemble are
+sampled in parallel on one process-wide pool of ``os.cpu_count()``
+threads; the values do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from collections.abc import Sequence
+import threading
+from collections.abc import Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +35,38 @@ NOISE_MODES = ("theory", "experiment")
 
 _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
+
+
+_sampling_pool: ThreadPoolExecutor | None = None
+_sampling_pool_lock = threading.Lock()
+
+
+def _sample_rounds(
+    source: GaussianSource, k: int, rounds: Sequence[int], buffers: Iterable[np.ndarray]
+) -> list[np.ndarray]:
+    """Sample sensing matrix r of each round into its own (n, k) buffer.
+
+    Round r is drawn from stream r + 1 exactly as
+    :func:`~randcs.numerics.sample_gaussian_matrix` draws it, so every
+    value is independent of the thread count.  All callers share one
+    lazily created pool, so no more than ``os.cpu_count()`` threads
+    sample at once however many threads call in.  Returns the (k, n)
+    transposed views in round order.
+    """
+    global _sampling_pool
+    with _sampling_pool_lock:
+        if _sampling_pool is None:
+            _sampling_pool = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
+            )
+    scale = np.sqrt(1.0 / k)
+
+    def fill(r: int, cols: np.ndarray) -> np.ndarray:
+        source.stream(r + 1).generator().standard_normal(out=cols)
+        cols *= scale
+        return cols.T
+
+    return list(_sampling_pool.map(fill, rounds, buffers))
 
 
 def default_measurement_count(n: int, s: int) -> int:
@@ -88,6 +126,12 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> Sign
     return Signal(values=values, support=frozenset(int(i) for i in chosen), sparsity=s)
 
 
+def _check_noise_level(sigma_w: float) -> None:
+    # NaN and inf fail every comparison, so test finiteness explicitly
+    if not (math.isfinite(sigma_w) and sigma_w >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {sigma_w}")
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Problem dimensions, round count, noise convention, and seed.
@@ -114,8 +158,7 @@ class RecoveryConfig:
             object.__setattr__(self, "r0", default_round_count(self.n))
         if self.k < 1 or self.r0 < 1:
             raise ValueError(f"need k >= 1 and r0 >= 1, got k={self.k}, r0={self.r0}")
-        if self.sigma_w < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.sigma_w}")
+        _check_noise_level(self.sigma_w)
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
 
@@ -162,14 +205,24 @@ class LazyMatrices(Sequence):
         sequential consumer avoid a fresh large allocation per round; the
         view is only valid until the buffer's next reuse.
         """
-        if not 0 <= r < self._count:
-            raise IndexError(f"round index {r} out of range for {self._count} rounds")
-        if cols_out.shape != (self._n, self._k):
-            raise ValueError(f"scratch buffer must have shape {(self._n, self._k)}")
-        gen = self._source.stream(r + 1).generator()
-        gen.standard_normal(out=cols_out)
-        cols_out *= np.sqrt(1.0 / self._k)
-        return cols_out.T
+        return self.regenerate_many([r], [cols_out])[0]
+
+    def regenerate_many(
+        self, rounds: Sequence[int], buffers: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Regenerate several matrices in parallel, round ``rounds[i]`` into ``buffers[i]``.
+
+        Same contract as :meth:`regenerate_into` for each pair; returns the
+        (k, n) views in the order of ``rounds``.
+        """
+        if len(buffers) < len(rounds):
+            raise ValueError(f"need a scratch buffer for each of the {len(rounds)} rounds")
+        for r, cols in zip(rounds, buffers):
+            if not 0 <= r < self._count:
+                raise IndexError(f"round index {r} out of range for {self._count} rounds")
+            if cols.shape != (self._n, self._k):
+                raise ValueError(f"scratch buffer must have shape {(self._n, self._k)}")
+        return _sample_rounds(self._source, self._k, rounds, buffers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +253,15 @@ def build_ensemble(config: RecoveryConfig, lazy: bool = False) -> SensingEnsembl
 
     With ``lazy=True`` the matrices are regenerated from their streams on
     every access instead of being held in memory; values are identical
-    either way.
+    either way.  The eager matrices are sampled in parallel, one round per
+    thread of the shared sampling pool.
     """
     view = LazyMatrices(config.master_seed, 2 * config.r0, config.k, config.n)
-    matrices: Sequence[np.ndarray] = view if lazy else tuple(view[r] for r in range(len(view)))
+    matrices: Sequence[np.ndarray] = view
+    if not lazy:
+        rounds = range(len(view))
+        buffers = [np.empty((config.n, config.k)) for _ in rounds]
+        matrices = tuple(view.regenerate_many(rounds, buffers))
     return SensingEnsemble(
         n=config.n, k=config.k, r0=config.r0, master_seed=config.master_seed, matrices=matrices
     )
@@ -248,8 +306,7 @@ def measure(
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
-    if sigma_w < 0:
-        raise ValueError(f"noise level must be nonnegative, got {sigma_w}")
+    _check_noise_level(sigma_w)
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
     rounds = 2 * ensemble.r0
     k = ensemble.k
@@ -272,22 +329,30 @@ def measure(
     )
 
 
-def _write_fixture(path, n: int, k: int, r0: int, master_seed: int, payload: np.ndarray) -> None:
+def _write_fixture(
+    path, n: int, k: int, r0: int, master_seed: int, blocks: Iterable[np.ndarray]
+) -> None:
     header = _HEADER.pack(_FIXTURE_MAGIC, n, k, r0, master_seed & ((1 << 64) - 1))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        # one block at a time, so at most one block is ever copied
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def _read_fixture(path) -> tuple[int, int, int, int, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated fixture file")
-    magic, n, k, r0, seed = _HEADER.unpack_from(raw)
-    if magic != _FIXTURE_MAGIC:
-        raise ValueError(f"{path}: not an ensemble fixture (bad magic {magic!r})")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    return int(n), int(k), int(r0), int(seed), payload
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated fixture file")
+        magic, n, k, r0, seed = _HEADER.unpack(header)
+        if magic != _FIXTURE_MAGIC:
+            raise ValueError(f"{path}: not an ensemble fixture (bad magic {magic!r})")
+        payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload_bytes % 8:
+            raise ValueError(f"{path}: {payload_bytes}-byte payload is not whole float64 values")
+        payload = np.fromfile(fh, dtype="<f8", count=payload_bytes // 8)
+    return int(n), int(k), int(r0), int(seed), payload.astype(np.float64, copy=False)
 
 
 def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
@@ -296,8 +361,9 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
     Layout: magic ``RCS1`` then n, k, r0, seed as little-endian 64-bit
     fields, followed by the 2*r0 matrices as row-major float64.
     """
-    payload = np.stack([np.asarray(m) for m in ensemble.matrices])
-    _write_fixture(path, ensemble.n, ensemble.k, ensemble.r0, ensemble.master_seed, payload)
+    _write_fixture(
+        path, ensemble.n, ensemble.k, ensemble.r0, ensemble.master_seed, ensemble.matrices
+    )
 
 
 def load_ensemble(path) -> SensingEnsemble:
@@ -318,7 +384,7 @@ def dump_measurements(measurements: MeasurementEnsemble, path) -> None:
         measurements.k,
         measurements.r0,
         measurements.master_seed,
-        measurements.vectors,
+        [measurements.vectors],
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from randcs.baselines import (
     RankDeficiencyError,
+    _column_norms,
     biht,
     hard_threshold,
     iht_steps,
@@ -78,6 +79,15 @@ class TestSignQuantize:
 
 
 class TestOmp:
+    @pytest.mark.parametrize("k, n", [(1438, 700), (1000, 257), (3, 2)])
+    def test_column_norms_equal_linalg_norm(self, k, n):
+        # block-wise norms are bit-identical, on the column-major sampled
+        # layout and on a row-major copy
+        A = sample_gaussian_matrix(GaussianSource(n), k, n, 1.0 / k)
+        assert A.flags.f_contiguous
+        for M in (A, np.ascontiguousarray(A)):
+            assert np.array_equal(_column_norms(M), np.linalg.norm(M, axis=0))
+
     def test_identity_recovers_exactly(self):
         n = 8
         z = np.zeros(n)

@@ -82,6 +82,8 @@ class TestExperimentGrid:
             dict(workers=0),
             dict(sparsity_fractions=(1.5,)),
             dict(sparsity_fractions=(0.001,)),  # rounds to zero nonzeros at n=128
+            dict(sigma_w=math.nan),
+            dict(sigma_w=math.inf),
         ],
     )
     def test_invalid_grids_rejected(self, overrides):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import randcs.recovery as recovery
 from randcs.numerics import GaussianSource, matvec, sample_gaussian_matrix
 from randcs.recovery import (
     back_project,
@@ -80,6 +81,17 @@ class TestBackProject:
         proj = back_project(ens, meas, range(4))
         for row in proj.per_round:
             assert np.array_equal(row, z.values)
+
+    def test_lazy_blocks_match_eager(self, monkeypatch):
+        # a three-matrix block cap splits the 7 rounds into blocks of 3, 3, 1
+        cfg = RecoveryConfig(n=30, s=3, k=12, r0=4, master_seed=8)
+        monkeypatch.setattr(recovery, "_LAZY_BLOCK_BYTES", 3 * 8 * cfg.n * cfg.k)
+        eager = build_ensemble(cfg)
+        z = generate_binary_signal(GaussianSource(8), cfg.n, cfg.s)
+        meas = measure(eager, z, 0.1, "experiment", 8)
+        rounds = range(1, 8)
+        lazy = back_project(build_ensemble(cfg, lazy=True), meas, rounds).per_round
+        assert np.array_equal(lazy, back_project(eager, meas, rounds).per_round)
 
     def test_empty_range_rejected(self):
         ens = identity_ensemble(3)

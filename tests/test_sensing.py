@@ -1,9 +1,13 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from randcs.numerics import GaussianSource, matvec
+import randcs.sensing as sensing
+from randcs.numerics import GaussianSource, matvec, sample_gaussian_matrix
 from randcs.sensing import (
     LazyMatrices,
     MeasurementEnsemble,
@@ -94,6 +98,8 @@ class TestRecoveryConfig:
             dict(n=10, s=2, r0=0),
             dict(n=10, s=2, sigma_w=-0.1),
             dict(n=10, s=2, noise_mode="bogus"),
+            dict(n=10, s=2, sigma_w=math.nan),
+            dict(n=10, s=2, sigma_w=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -114,11 +120,15 @@ class TestBuildEnsemble:
         assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
 
     def test_matrix_reproducible_from_seed_and_round(self):
+        # more rounds than sampling threads: each matrix is still the
+        # sequential draw from stream r + 1, whatever thread sampled it
         cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
         ens = build_ensemble(cfg)
         view = LazyMatrices(99, 6, 8, 16)
         for r in range(6):
             assert np.array_equal(ens.matrices[r], view[r])
+            expected = sample_gaussian_matrix(GaussianSource(99).stream(r + 1), 8, 16, 1 / 8)
+            assert np.array_equal(ens.matrices[r], expected)
 
     def test_lazy_matches_eager(self):
         cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
@@ -146,6 +156,49 @@ class TestBuildEnsemble:
             view.regenerate_into(6, np.empty((16, 8)))
         with pytest.raises(ValueError):
             view.regenerate_into(0, np.empty((8, 16)))
+
+    def test_concurrent_builds_share_one_pool(self, monkeypatch):
+        # more callers than cores, rapid thread switching, first use racing
+        # the pool's creation: one pool of cpu_count threads, same values
+        cfg = RecoveryConfig(n=40, s=2, k=24, r0=4, master_seed=31)
+        alone = build_ensemble(cfg)
+        created = []
+        real_executor = sensing.ThreadPoolExecutor
+
+        def counting_executor(**kwargs):
+            created.append((real_executor(**kwargs), kwargs))
+            return created[-1][0]
+
+        monkeypatch.setattr(sensing, "ThreadPoolExecutor", counting_executor)
+        monkeypatch.setattr(sensing, "_sampling_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                builds = list(callers.map(lambda _: build_ensemble(cfg), range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            for pool, _ in created:
+                pool.shutdown()
+        assert len(created) == 1
+        assert created[0][1]["max_workers"] == os.cpu_count()
+        for ens in builds:
+            assert all(np.array_equal(a, b) for a, b in zip(ens.matrices, alone.matrices))
+
+    def test_regenerate_many_bit_identical(self):
+        view = LazyMatrices(99, 6, 8, 16)
+        scratch = np.empty((4, 16, 8))
+        got = view.regenerate_many([5, 0, 3], scratch)
+        assert [np.array_equal(g, view[r]) for g, r in zip(got, [5, 0, 3])] == [True] * 3
+
+    def test_regenerate_many_validates(self):
+        view = LazyMatrices(99, 6, 8, 16)
+        with pytest.raises(ValueError):
+            view.regenerate_many([0, 1], np.empty((1, 16, 8)))
+        with pytest.raises(ValueError):
+            view.regenerate_many([0], np.empty((1, 8, 16)))
+        with pytest.raises(IndexError):
+            view.regenerate_many([0, 6], np.empty((2, 16, 8)))
 
     def test_pooled_entry_variance(self):
         # all matrices at k=200 pooled: variance within 5 percent of 1/200
@@ -209,6 +262,14 @@ class TestMeasure:
         ens = build_ensemble(cfg)
         with pytest.raises(ValueError):
             measure(ens, np.zeros(6), 0.1, "half-theory", 1)
+
+    @pytest.mark.parametrize("sigma_w", [-0.1, math.nan, math.inf])
+    def test_bad_noise_level_rejected(self, sigma_w):
+        # a NaN level would otherwise add no noise at all (nan > 0 is false)
+        cfg = RecoveryConfig(n=6, s=1, k=4, r0=2, master_seed=1)
+        ens = build_ensemble(cfg)
+        with pytest.raises(ValueError):
+            measure(ens, np.zeros(6), sigma_w, "theory", 1)
 
 
 def _fixed_test_signal(n=50, s=5):
@@ -299,6 +360,22 @@ class TestFixtureFormat:
         dump_ensemble(ens, path)
         with pytest.raises(ValueError):
             load_measurements(path)
+
+    def test_ensemble_bytes_are_stacked_row_major_matrices(self, tmp_path):
+        _, ens = self._ensemble()
+        path = tmp_path / "ens.bin"
+        dump_ensemble(ens, path)
+        payload = np.stack([np.asarray(m) for m in ens.matrices]).astype("<f8").tobytes()
+        assert path.read_bytes()[36:] == payload
+
+    def test_partial_float_payload_rejected(self, tmp_path):
+        _, ens = self._ensemble()
+        path = tmp_path / "ens.bin"
+        dump_ensemble(ens, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00\x01\x02")
+        with pytest.raises(ValueError):
+            load_ensemble(path)
 
     def test_measurement_shape_validated(self):
         with pytest.raises(ValueError):
