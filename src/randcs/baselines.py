@@ -109,6 +109,8 @@ def omp_steps(
         raise DimensionMismatchError(
             f"cannot run matching pursuit with {A.shape} matrix and dim-{b.shape} vector"
         )
+    if not np.isfinite(b).all():
+        raise ValueError("measurement vector must be finite")
     k, n = A.shape
     if not 0 <= s_budget <= min(k, n):
         raise ValueError(f"sparsity budget must lie in [0, min(k, n)], got {s_budget}")
@@ -199,6 +201,8 @@ def iht_steps(
         raise DimensionMismatchError(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
+    if not np.isfinite(signs).all():
+        raise ValueError("sign vector must be finite")
     k = A.shape[0]
     x = np.zeros(A.shape[1])
     for it in range(1, max_iters + 1):

@@ -118,7 +118,7 @@ def _run_bench(args) -> int:
     for failure in outcome.failures:
         print(
             f"failed trial: method={failure.method} n={failure.n} s={failure.s} "
-            f"trial={failure.trial}: {failure.error}",
+            f"trial={failure.trial} seed={failure.seed}: {failure.error}",
             file=sys.stderr,
         )
     if outcome.has_excess_failures():

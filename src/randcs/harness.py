@@ -1,10 +1,14 @@
 """Benchmark harness: trial generation, method dispatch, metrics, CSV output.
 
-Within a grid cell (n, s), every method of a given trial sees the same
-signal and, where a single matrix suffices, the same first sensing matrix
-and measurement vector, so accuracy comparisons are paired.  Only the
-recovery call is timed; signal, matrix, and measurement generation are
-excluded and reported separately in the ``gen_time_s`` column.
+A trial is the unit of work.  Within a grid cell (n, s), every method of a
+given trial sees the same signal and, where a single matrix suffices, the
+same first sensing matrix and measurement vector, so accuracy comparisons
+are paired; the signal and the first matrix are generated once per trial
+and shared.  Only the recovery call is timed; signal, matrix, and
+measurement generation are excluded and reported separately in the
+``gen_time_s`` column.  Each single-matrix row's ``gen_time_s`` counts the
+shared first-matrix sampling in full, as the cost of the inputs that row
+consumed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .sensing import (
     NOISE_MODES,
     SIGNAL_STREAM,
     RecoveryConfig,
+    Signal,
     _check_noise_level,
     build_ensemble,
     generate_binary_signal,
@@ -130,10 +135,13 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialFailure:
+    """A method that raised on one trial; ``error`` starts with the exception type."""
+
     method: str
     n: int
     s: int
     trial: int
+    seed: int
     error: str
 
 
@@ -161,68 +169,105 @@ def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryCo
     )
 
 
-def run_trial(grid: ExperimentGrid, method: str, n: int, s: int, trial: int) -> TrialResult:
-    """Generate one trial's data and time one method's recovery on it.
+def _run_method(
+    grid: ExperimentGrid,
+    config: RecoveryConfig,
+    signal: Signal,
+    method: str,
+    A1: np.ndarray | None,
+) -> tuple[frozenset[int], float, float]:
+    """Prepare one method's inputs and time its recovery.
 
-    The trial seed is derived from (master_seed, n, s, trial) only, so all
-    methods of a cell/trial receive the identical signal, and single-matrix
-    methods receive the identical first matrix and measurement vector that
-    the ensemble method sees as round 0.
+    Returns the predicted support, the seconds spent preparing the inputs
+    and the seconds of the recovery call.  Everything the method allocates,
+    the ``rand`` ensemble above all, is local to this call, so it is freed
+    before the next method runs.
     """
-    config = trial_config(grid, n, s, trial)
     seed = config.master_seed
-    signal = generate_binary_signal(GaussianSource(seed).stream(SIGNAL_STREAM), n, s)
-
     t_gen = time.perf_counter()
     if method == "rand":
         ensemble = build_ensemble(config)
         measurements = measure(ensemble, signal, grid.sigma_w, grid.noise_mode, seed)
         gen_time = time.perf_counter() - t_gen
-
         t_run = time.perf_counter()
         predicted = determine_support(ensemble, measurements)
-        wall = time.perf_counter() - t_run
+    elif method == "omp":
+        b1 = matvec(A1, signal.values)
+        if grid.sigma_w > 0:
+            noise_sd = (
+                grid.sigma_w if grid.noise_mode == "theory" else grid.sigma_w / math.sqrt(config.k)
+            )
+            noise_stream = GaussianSource(seed).stream(2 * config.r0 + 1)
+            b1 = b1 + noise_sd * noise_stream.generator().standard_normal(config.k)
+        gen_time = time.perf_counter() - t_gen
+        t_run = time.perf_counter()
+        predicted = omp(A1, b1, config.s).support
     else:
-        A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), config.k, n, 1.0 / config.k)
-        if method == "omp":
-            b1 = matvec(A1, signal.values)
-            if grid.sigma_w > 0:
-                noise_sd = (
-                    grid.sigma_w
-                    if grid.noise_mode == "theory"
-                    else grid.sigma_w / math.sqrt(config.k)
-                )
-                noise_stream = GaussianSource(seed).stream(2 * config.r0 + 1)
-                b1 = b1 + noise_sd * noise_stream.generator().standard_normal(config.k)
-            gen_time = time.perf_counter() - t_gen
-            t_run = time.perf_counter()
-            predicted = omp(A1, b1, s).support
-            wall = time.perf_counter() - t_run
-        elif method in ("biht", "nbiht"):
-            signs = sign_quantize(A1, signal)
-            gen_time = time.perf_counter() - t_gen
-            solver = biht if method == "biht" else nbiht
-            t_run = time.perf_counter()
-            predicted = solver(A1, signs, s, grid.biht_max_iters, grid.biht_step).support
-            wall = time.perf_counter() - t_run
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        signs = sign_quantize(A1, signal)
+        gen_time = time.perf_counter() - t_gen
+        solver = biht if method == "biht" else nbiht
+        t_run = time.perf_counter()
+        predicted = solver(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
+    return predicted, gen_time, time.perf_counter() - t_run
 
-    inter = len(predicted & signal.support)
-    return TrialResult(
-        method=method,
-        n=n,
-        s=s,
-        k=config.k,
-        r0=config.r0,
-        trial=trial,
-        seed=seed,
-        R=jaccard(predicted, signal.support),
-        wall_time_s=wall,
-        pred_size=len(predicted),
-        true_size=len(signal.support),
-        inter_size=inter,
-        gen_time_s=gen_time,
+
+def run_trial(
+    grid: ExperimentGrid, n: int, s: int, trial: int
+) -> list[TrialResult | TrialFailure]:
+    """Generate one trial's data and time every method of the grid on it.
+
+    The trial seed is derived from (master_seed, n, s, trial) only.  The
+    signal is generated once and, when a single-matrix method is asked
+    for, the first sensing matrix is sampled once; the methods then run in
+    ``grid.methods`` order on those inputs, so single-matrix methods
+    consume the identical first matrix and measurement vector that the
+    ensemble method sees as round 0.  Each single-matrix row's
+    ``gen_time_s`` includes the seconds of that shared sampling.
+
+    Returns one row per method.  A method that raises gets a
+    :class:`TrialFailure` row and the others still run; an error in the
+    shared generation propagates.
+    """
+    config = trial_config(grid, n, s, trial)
+    seed = config.master_seed
+    signal = generate_binary_signal(GaussianSource(seed).stream(SIGNAL_STREAM), n, s)
+
+    A1, first_gen = None, 0.0
+    if any(method != "rand" for method in grid.methods):
+        t_gen = time.perf_counter()
+        A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), config.k, n, 1.0 / config.k)
+        first_gen = time.perf_counter() - t_gen
+
+    rows: list[TrialResult | TrialFailure] = []
+    for method in grid.methods:
+        try:
+            predicted, gen_time, wall = _run_method(grid, config, signal, method, A1)
+        except Exception as exc:  # noqa: BLE001 - one method's failure spares the others
+            rows.append(_failure(method, n, s, trial, seed, exc))
+            continue
+        rows.append(
+            TrialResult(
+                method=method,
+                n=n,
+                s=s,
+                k=config.k,
+                r0=config.r0,
+                trial=trial,
+                seed=seed,
+                R=jaccard(predicted, signal.support),
+                wall_time_s=wall,
+                pred_size=len(predicted),
+                true_size=len(signal.support),
+                inter_size=len(predicted & signal.support),
+                gen_time_s=gen_time if method == "rand" else first_gen + gen_time,
+            )
+        )
+    return rows
+
+
+def _failure(method: str, n: int, s: int, trial: int, seed: int, exc: Exception) -> TrialFailure:
+    return TrialFailure(
+        method=method, n=n, s=s, trial=trial, seed=seed, error=f"{type(exc).__name__}: {exc}"
     )
 
 
@@ -250,33 +295,39 @@ class GridOutcome:
 
 
 def run_grid(grid: ExperimentGrid) -> GridOutcome:
-    """Run every cell x method x trial, optionally across a worker pool.
+    """Run every cell x trial, each trial running every method, optionally on a worker pool.
 
-    Results are ordered by (cell, method, trial) regardless of completion
-    order, and trial seeds depend only on (master_seed, n, s, trial), so
-    the outcome is identical for any worker count.  A failing trial is
+    A trial is the unit of work: ``grid.workers`` trials run at once, and
+    the methods of one trial run in sequence on one thread.  Results are
+    ordered by (cell, method, trial) regardless of completion order, and
+    trial seeds depend only on (master_seed, n, s, trial), so the outcome
+    is identical for any worker count.  A failing method or trial is
     recorded and skipped rather than aborting the grid.
     """
-    tasks = [
-        (method, n, s, trial)
-        for (n, s) in grid.cells()
-        for method in grid.methods
-        for trial in range(grid.trials)
-    ]
+    tasks = [(n, s, trial) for (n, s) in grid.cells() for trial in range(grid.trials)]
 
-    def attempt(task):
-        method, n, s, trial = task
+    def attempt(task) -> list[TrialResult | TrialFailure]:
+        n, s, trial = task
         try:
-            return run_trial(grid, method, n, s, trial)
+            return run_trial(grid, n, s, trial)
         except Exception as exc:  # noqa: BLE001 - per-trial record-and-continue policy
-            return TrialFailure(method=method, n=n, s=s, trial=trial, error=str(exc))
+            seed = derive_seed(grid.master_seed, n, s, trial)
+            return [_failure(method, n, s, trial, seed, exc) for method in grid.methods]
 
     if grid.workers == 1:
-        outcomes = [attempt(t) for t in tasks]
+        per_task = [attempt(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=grid.workers) as pool:
-            outcomes = list(pool.map(attempt, tasks))
+            per_task = list(pool.map(attempt, tasks))
 
+    # per_task holds trial-major rows of one cell after another; reorder to
+    # (cell, method, trial)
+    outcomes = [
+        per_task[cell * grid.trials + trial][m]
+        for cell in range(len(grid.cells()))
+        for m in range(len(grid.methods))
+        for trial in range(grid.trials)
+    ]
     results = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if isinstance(o, TrialFailure)]
     return GridOutcome(results=results, summaries=summarize(results), failures=failures)

@@ -269,7 +269,7 @@ def build_ensemble(config: RecoveryConfig, lazy: bool = False) -> SensingEnsembl
 
 @dataclass(frozen=True, eq=False)
 class MeasurementEnsemble:
-    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round.
+    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite.
 
     ``sigma_w`` and ``noise_mode`` echo how the noise was drawn; they are
     None for ensembles loaded from fixture files, which do not record them.
@@ -289,6 +289,8 @@ class MeasurementEnsemble:
                 f"expected a (2*r0, k) = ({2 * self.r0}, {self.k}) measurement array, "
                 f"got shape {self.vectors.shape}"
             )
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("measurement vectors must be finite")
 
 
 def measure(
@@ -373,6 +375,9 @@ def load_ensemble(path) -> SensingEnsemble:
     if payload.size != expected:
         raise ValueError(f"{path}: expected {expected} matrix entries, found {payload.size}")
     matrices = tuple(payload.reshape(2 * r0, k, n))
+    # one matrix at a time, so the check allocates no payload-sized mask
+    if not all(np.isfinite(A).all() for A in matrices):
+        raise ValueError(f"{path}: ensemble has a non-finite entry")
     return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
 
 

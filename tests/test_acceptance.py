@@ -240,11 +240,11 @@ def test_criterion_5_runtime_scaling():
             noise_mode="experiment",
             master_seed=42,
         )
-        run_trial(grid, "rand", 2000, 20, 0)  # warm the kernels
-        run_trial(grid, "rand", 4000, 40, 0)
+        run_trial(grid, 2000, 20, 0)  # warm the kernels
+        run_trial(grid, 4000, 40, 0)
         medians = {}
         for n in (2000, 4000):
-            walls = [run_trial(grid, "rand", n, n // 100, rep).wall_time_s for rep in range(3)]
+            walls = [run_trial(grid, n, n // 100, rep)[0].wall_time_s for rep in range(3)]
             assert all(w > 0 for w in walls)
             medians[n] = float(np.median(walls))
         ratio = medians[4000] / medians[2000]

@@ -117,6 +117,15 @@ class TestOmp:
         with pytest.raises(DimensionMismatchError):
             omp(np.eye(4), np.ones(3), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        # a NaN used to come back as the support {0, 1, 2, 3} without an error
+        A = sample_gaussian_matrix(GaussianSource(6), 10, 20, 0.1)
+        b = A[:, :2].sum(axis=1)
+        b[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            omp(A, b, 4)
+
     def test_duplicate_columns_raise_rank_deficiency(self):
         col = np.arange(1.0, 6.0)
         A = np.column_stack([col, 2 * col, np.ones(5)])
@@ -201,6 +210,14 @@ class TestBihtFamily:
         A, _, signs = self._instance()
         with pytest.raises(ValueError):
             biht(A, signs, 4, max_iters=0)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    def test_non_finite_signs_rejected(self, solver):
+        A, _, signs = self._instance()
+        signs = signs.copy()
+        signs[0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            solver(A, signs, 4)
 
     def test_nbiht_iterates_have_unit_norm(self):
         A, z, signs = self._instance()

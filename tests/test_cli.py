@@ -129,6 +129,19 @@ class TestRecoverCommand:
                      "--algorithm", "basic"]) == 1
         assert "disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["ensemble", "measurements"])
+    def test_non_finite_fixture_is_usage_error(self, fixtures, which, capsys):
+        *_, epath, mpath = fixtures
+        path = epath if which == "ensemble" else mpath
+        with open(path, "r+b") as fh:
+            fh.seek(36 + 8 * 5)  # past the header, into the payload
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        assert main(["recover", "--ensemble", epath, "--measurements", mpath,
+                     "--algorithm", "support"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_missing_file_is_usage_error(self, fixtures, capsys):
         *_, mpath = fixtures
         assert main(["recover", "--ensemble", "/nonexistent.bin",
@@ -139,9 +152,25 @@ class TestFailureExitCode:
     def test_excess_failures_exit_two(self, tmp_path, monkeypatch):
         import randcs.harness as harness
 
-        def always_fail(grid, method, n, s, trial):
+        def always_fail(grid, n, s, trial):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(harness, "run_trial", always_fail)
         args, _, _ = bench_args(tmp_path)
         assert main(args) == 2
+
+    def test_failed_trial_line_names_type_and_seed(self, tmp_path, monkeypatch, capsys):
+        import randcs.harness as harness
+
+        def failing_omp(A, b, s_budget):
+            raise FloatingPointError("synthetic")
+
+        monkeypatch.setattr(harness, "omp", failing_omp)
+        args, out, _ = bench_args(tmp_path)
+        assert main(args) == 2
+        with open(out, newline="") as fh:
+            seeds = {row["trial"]: row["seed"] for row in csv.DictReader(fh)}
+        err = capsys.readouterr().err
+        for trial in ("0", "1"):
+            assert (f"failed trial: method=omp n=128 s=3 trial={trial} seed={seeds[trial]}: "
+                    "FloatingPointError: synthetic") in err

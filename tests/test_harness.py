@@ -20,7 +20,9 @@ from randcs.harness import (
     summarize,
     trial_config,
 )
+from randcs.baselines import biht, nbiht, omp, sign_quantize
 from randcs.numerics import GaussianSource, sample_gaussian_matrix
+from randcs.recovery import determine_support
 from randcs.sensing import build_ensemble, generate_binary_signal, measure
 
 
@@ -94,7 +96,7 @@ class TestExperimentGrid:
 class TestRunTrial:
     def test_result_fields_echo_configuration(self):
         grid = small_grid()
-        res = run_trial(grid, "rand", 128, 3, 0)
+        res = run_trial(grid, 128, 3, 0)[0]
         cfg = trial_config(grid, 128, 3, 0)
         assert (res.n, res.s, res.k, res.r0) == (128, 3, cfg.k, cfg.r0)
         assert res.seed == cfg.master_seed
@@ -114,7 +116,7 @@ class TestRunTrial:
         seed = cfg.master_seed
         signal = generate_binary_signal(GaussianSource(seed).stream(0), n, s)
 
-        results = {m: run_trial(grid, m, n, s, trial) for m in grid.methods}
+        results = {r.method: r for r in run_trial(grid, n, s, trial)}
         assert all(r.true_size == signal.sparsity for r in results.values())
         assert all(r.seed == seed for r in results.values())
 
@@ -130,7 +132,7 @@ class TestRunTrial:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            run_trial(small_grid(), "lasso", 128, 3, 0)
+            run_trial(small_grid(methods=("lasso",)), 128, 3, 0)
 
 
 class TestRunGrid:
@@ -166,10 +168,10 @@ class TestRunGrid:
     def test_failures_recorded_not_raised(self, monkeypatch):
         real = harness.run_trial
 
-        def flaky(grid, method, n, s, trial):
+        def flaky(grid, n, s, trial):
             if trial == 1:
                 raise RuntimeError("synthetic trial failure")
-            return real(grid, method, n, s, trial)
+            return real(grid, n, s, trial)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
         outcome = run_grid(small_grid(trials=3, methods=("rand",)))
@@ -188,6 +190,116 @@ class TestRunGrid:
                            r.pred_size, r.true_size, r.inter_size)
         assert [strip(r) for r in a] == [strip(r) for r in b]
         assert all(r.wall_time_s > 0 for r in a + b)
+
+
+class TestSharedTrialInputs:
+    def test_one_method_failure_spares_the_trials_other_rows(self, monkeypatch):
+        real = harness.omp
+        calls = []
+
+        def omp_failing_on_second_trial(A, b, s_budget):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("synthetic omp failure")
+            return real(A, b, s_budget)
+
+        monkeypatch.setattr(harness, "omp", omp_failing_on_second_trial)
+        grid = small_grid(trials=3, methods=("rand", "omp", "biht"))
+        outcome = run_grid(grid)
+        assert [(f.method, f.trial) for f in outcome.failures] == [("omp", 1)]
+        failure = outcome.failures[0]
+        assert failure.seed == trial_config(grid, 128, 3, 1).master_seed
+        assert failure.error.startswith("RuntimeError: ")
+        assert "synthetic" in failure.error
+        kept = {(r.method, r.trial) for r in outcome.results}
+        assert kept == {(m, t) for m in grid.methods for t in range(3)} - {("omp", 1)}
+
+    def test_shared_generation_failure_fails_every_method(self, monkeypatch):
+        real = harness.sample_gaussian_matrix
+
+        def failing_sample(source, k, n, variance):
+            if source.master_seed == trial_config(grid, 128, 3, 2).master_seed:
+                raise MemoryError("synthetic sampling failure")
+            return real(source, k, n, variance)
+
+        grid = small_grid(trials=3, methods=("rand", "omp", "nbiht"))
+        monkeypatch.setattr(harness, "sample_gaussian_matrix", failing_sample)
+        outcome = run_grid(grid)
+        assert [(f.method, f.trial) for f in outcome.failures] == [
+            ("rand", 2), ("omp", 2), ("nbiht", 2)
+        ]
+        seed = trial_config(grid, 128, 3, 2).master_seed
+        assert all(f.seed == seed for f in outcome.failures)
+        assert all(f.error.startswith("MemoryError: ") for f in outcome.failures)
+        assert len(outcome.results) == 6
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_matrix_sampled_once_per_trial(self, monkeypatch, workers):
+        real = harness.sample_gaussian_matrix
+        seeds = []
+
+        def counting_sample(source, k, n, variance):
+            seeds.append(source.master_seed)
+            return real(source, k, n, variance)
+
+        monkeypatch.setattr(harness, "sample_gaussian_matrix", counting_sample)
+        grid = small_grid(trials=4, methods=("omp", "biht", "nbiht"), workers=workers)
+        outcome = run_grid(grid)
+        assert len(outcome.results) == 12
+        assert sorted(seeds) == sorted(trial_config(grid, 128, 3, t).master_seed for t in range(4))
+
+    def test_rand_alone_samples_no_first_matrix(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("first matrix sampled for rand")
+
+        monkeypatch.setattr(harness, "sample_gaussian_matrix", no_sampling)
+        outcome = run_grid(small_grid(trials=2, methods=("rand",)))
+        assert outcome.failures == [] and len(outcome.results) == 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rows_equal_separate_runs_of_each_method(self, workers):
+        grid = small_grid(
+            n_values=(64, 128), sparsity_fractions=(0.05,), trials=3,
+            methods=harness.METHODS, workers=workers,
+        )
+        outcome = run_grid(grid)
+        assert outcome.failures == []
+        expected = [
+            _separate_method_row(grid, method, n, s, trial)
+            for (n, s) in grid.cells()
+            for method in grid.methods
+            for trial in range(grid.trials)
+        ]
+        assert [_untimed(r) for r in outcome.results] == expected
+
+
+def _untimed(r):
+    return (r.method, r.n, r.s, r.k, r.r0, r.trial, r.seed, r.R,
+            r.pred_size, r.true_size, r.inter_size)
+
+
+def _separate_method_row(grid, method, n, s, trial):
+    """One method's row generated on its own, from nothing but the trial seed."""
+    cfg = trial_config(grid, n, s, trial)
+    seed = cfg.master_seed
+    signal = generate_binary_signal(GaussianSource(seed).stream(0), n, s)
+    if method == "rand":
+        ens = build_ensemble(cfg)
+        meas = measure(ens, signal, grid.sigma_w, grid.noise_mode, seed)
+        predicted = determine_support(ens, meas)
+    else:
+        A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), cfg.k, n, 1.0 / cfg.k)
+        if method == "omp":
+            noise = GaussianSource(seed).stream(2 * cfg.r0 + 1).generator().standard_normal(cfg.k)
+            b1 = A1 @ signal.values + grid.sigma_w / math.sqrt(cfg.k) * noise
+            predicted = omp(A1, b1, s).support
+        else:
+            solver = biht if method == "biht" else nbiht
+            predicted = solver(A1, sign_quantize(A1, signal), s,
+                               grid.biht_max_iters, grid.biht_step).support
+    inter = len(predicted & signal.support)
+    return (method, n, s, cfg.k, cfg.r0, trial, seed, jaccard(predicted, signal.support),
+            len(predicted), s, inter)
 
 
 def _fabricated_results():

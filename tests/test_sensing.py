@@ -271,6 +271,15 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(ens, np.zeros(6), sigma_w, "theory", 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        cfg = RecoveryConfig(n=6, s=1, k=4, r0=2, master_seed=1)
+        ens = build_ensemble(cfg)
+        z = np.zeros(6)
+        z[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            measure(ens, z, 0.1, "experiment", 1)
+
 
 def _fixed_test_signal(n=50, s=5):
     # deterministic +/-1 entries on the leading block
@@ -380,3 +389,35 @@ class TestFixtureFormat:
     def test_measurement_shape_validated(self):
         with pytest.raises(ValueError):
             MeasurementEnsemble(vectors=np.zeros((3, 5)), n=8, k=5, r0=2, master_seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_measurements_rejected(self, bad):
+        vectors = np.zeros((4, 5))
+        vectors[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementEnsemble(vectors=vectors, n=8, k=5, r0=2, master_seed=0)
+
+    def test_non_finite_measurement_fixture_rejected(self, tmp_path):
+        cfg, ens = self._ensemble()
+        z = generate_binary_signal(GaussianSource(77), 8, 2)
+        path = tmp_path / "meas.bin"
+        dump_measurements(measure(ens, z, 0.1, "experiment", 77), path)
+        _overwrite_entry(path, 7, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            load_measurements(path)
+
+    @pytest.mark.parametrize("entry", [0, 5 * 8 + 3, 4 * 5 * 8 - 1])
+    def test_non_finite_ensemble_entry_rejected(self, tmp_path, entry):
+        _, ens = self._ensemble()
+        path = tmp_path / "ens.bin"
+        dump_ensemble(ens, path)
+        _overwrite_entry(path, entry, math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_ensemble(path)
+
+
+def _overwrite_entry(path, index, value):
+    """Replace payload entry ``index`` of a fixture file in place."""
+    with open(path, "r+b") as fh:
+        fh.seek(36 + 8 * index)
+        fh.write(np.array([value], dtype="<f8").tobytes())
