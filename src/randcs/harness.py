@@ -6,7 +6,11 @@ same first sensing matrix and measurement vector, so accuracy comparisons
 are paired; the signal and the first matrix are generated once per trial
 and shared.  Only the recovery call is timed; signal, matrix, and
 measurement generation are excluded and reported separately in the
-``gen_time_s`` column.  Each single-matrix row's ``gen_time_s`` counts the
+``gen_time_s`` column.  For ``rand``, :func:`~randcs.sensing.measure`
+computes the r0 back-projections A[r]^T b[r] in the same pass that
+samples each matrix, so those products count in ``gen_time_s`` and
+``wall_time_s`` covers the rest of the recovery: the noise floor, the vote
+count and the support.  Each single-matrix row's ``gen_time_s`` counts the
 shared first-matrix sampling in full, as the cost of the inputs that row
 consumed.
 """
@@ -14,7 +18,6 @@ consumed.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import biht, nbiht, omp, sign_quantize
-from .numerics import GaussianSource, derive_seed, matvec, sample_gaussian_matrix
+from .numerics import GaussianSource, derive_seed, sample_gaussian_matrix
 from .recovery import determine_support
 from .sensing import (
     NOISE_MODES,
@@ -31,6 +34,7 @@ from .sensing import (
     RecoveryConfig,
     Signal,
     _check_noise_level,
+    _measure_round,
     build_ensemble,
     generate_binary_signal,
     measure,
@@ -192,13 +196,7 @@ def _run_method(
         t_run = time.perf_counter()
         predicted = determine_support(ensemble, measurements)
     elif method == "omp":
-        b1 = matvec(A1, signal.values)
-        if grid.sigma_w > 0:
-            noise_sd = (
-                grid.sigma_w if grid.noise_mode == "theory" else grid.sigma_w / math.sqrt(config.k)
-            )
-            noise_stream = GaussianSource(seed).stream(2 * config.r0 + 1)
-            b1 = b1 + noise_sd * noise_stream.generator().standard_normal(config.k)
+        b1 = _measure_round(A1, signal.values, 0, config.r0, grid.sigma_w, grid.noise_mode, seed)
         gen_time = time.perf_counter() - t_gen
         t_run = time.perf_counter()
         predicted = omp(A1, b1, config.s).support

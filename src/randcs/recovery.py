@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import matvec_transposed, median
-from .sensing import LazyMatrices, MeasurementEnsemble, SensingEnsemble
+from .numerics import median
+from .sensing import MeasurementEnsemble, SensingEnsemble, _back_project
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +54,10 @@ class RecoveredSignal:
 def _check_rounds(rounds: range, available: int) -> None:
     if len(rounds) == 0:
         raise ValueError("round range must be nonempty")
-    if rounds.start < 0 or rounds[-1] >= available:
+    if min(rounds[0], rounds[-1]) < 0 or max(rounds[0], rounds[-1]) >= available:
         raise ValueError(
             f"round range {rounds} outside the {available} available rounds"
         )
-
-
-# memory cap for regenerating lazy ensembles in blocks; block-wise phases
-# keep the sampler and the BLAS kernels from ping-ponging every round
-_LAZY_BLOCK_BYTES = 256 * 2**20
 
 
 def back_project(
@@ -70,30 +65,15 @@ def back_project(
 ) -> BackProjection:
     """Compute v[r] = A[r]^T @ b[r] for every round in ``rounds`` (0-based).
 
-    Lazily stored ensembles are regenerated into a scratch block of bounded
-    size (at least one matrix), a block at a time, so the memory footprint
-    stays independent of the round count.  The matrices of a block are
-    sampled in parallel on the shared sampling pool.
+    For rounds in [0, r0) of measurements that
+    :func:`~randcs.sensing.measure` took through this same ensemble, these
+    are the products it kept, and nothing is computed again.  Any other
+    request is one pass over the rounds, which samples the matrices of a
+    seeded ensemble in parallel on the shared sampling pool, at most one
+    per thread at a time.
     """
-    matrices = ensemble.matrices
-    _check_rounds(rounds, min(len(matrices), measurements.vectors.shape[0]))
-    per_round = np.empty((len(rounds), ensemble.n))
-    if not isinstance(matrices, LazyMatrices):
-        for t, r in enumerate(rounds):
-            per_round[t] = matvec_transposed(matrices[r], measurements.vectors[r])
-        return BackProjection(rounds=rounds, per_round=per_round)
-
-    todo = list(rounds)
-    block_rounds = int(max(1, min(len(todo), _LAZY_BLOCK_BYTES // (8 * ensemble.n * ensemble.k))))
-    scratch = np.empty((block_rounds, ensemble.n, ensemble.k))
-    t = 0
-    for start in range(0, len(todo), block_rounds):
-        block = todo[start : start + block_rounds]
-        views = matrices.regenerate_many(block, scratch)
-        for A, r in zip(views, block):
-            per_round[t] = matvec_transposed(A, measurements.vectors[r])
-            t += 1
-    return BackProjection(rounds=rounds, per_round=per_round)
+    _check_rounds(rounds, min(len(ensemble.matrices), measurements.vectors.shape[0]))
+    return BackProjection(rounds=rounds, per_round=_back_project(ensemble, measurements, rounds))
 
 
 def recover_basic(
@@ -124,7 +104,7 @@ def estimate_noise_floor(
     2 * sqrt(sigma2 / k).
     """
     _check_rounds(rounds, measurements.vectors.shape[0])
-    block = measurements.vectors[rounds.start : rounds.stop : rounds.step]
+    block = measurements.vectors[rounds]
     norms = np.einsum("rk,rk->r", block, block)
     sigma2 = median(norms)
     return NoiseFloor(sigma2=sigma2, threshold=2.0 * math.sqrt(sigma2 / k))

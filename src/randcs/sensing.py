@@ -10,24 +10,31 @@ matrix, noise vector, or signal is reproducible in isolation:
 * stream r, r in [1, 2*r0]   -- sensing matrix r
 * stream 2*r0 + r         -- noise vector r
 
-Because every round has its own stream, the matrices of an ensemble are
-sampled in parallel on one process-wide pool of ``os.cpu_count()``
-threads; the values do not depend on the thread count.
+A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
+it is one pass over its rounds: each thread of one process-wide pool of
+``os.cpu_count()`` threads samples a round's matrix into its own reused
+buffer and uses it at once, so a pass holds at most ``os.cpu_count()``
+matrices and samples each round once.  Because every round has its own
+stream, the values do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import struct
 import threading
-from collections.abc import Iterable, Sequence
+import weakref
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .numerics import GaussianSource, matvec, sample_gaussian_matrix
+from .numerics import DimensionMismatchError, GaussianSource, sample_gaussian_matrix
 
 SIGNAL_STREAM = 0
 
@@ -38,35 +45,30 @@ _HEADER = struct.Struct("<4sQQQQ")
 
 
 _sampling_pool: ThreadPoolExecutor | None = None
-_sampling_pool_lock = threading.Lock()
+_sampling_thread_buffers = threading.local()  # each pool thread's buffer, kept between passes
+# guards the pool's creation and the count of seeded passes that hold OpenBLAS at one thread
+_sampling_lock = threading.Lock()
+_pinning_passes = 0
+_blas_threads_before = 0
 
 
-def _sample_rounds(
-    source: GaussianSource, k: int, rounds: Sequence[int], buffers: Iterable[np.ndarray]
-) -> list[np.ndarray]:
-    """Sample sensing matrix r of each round into its own (n, k) buffer.
-
-    Round r is drawn from stream r + 1 exactly as
-    :func:`~randcs.numerics.sample_gaussian_matrix` draws it, so every
-    value is independent of the thread count.  All callers share one
-    lazily created pool, so no more than ``os.cpu_count()`` threads
-    sample at once however many threads call in.  Returns the (k, n)
-    transposed views in round order.
-    """
-    global _sampling_pool
-    with _sampling_pool_lock:
-        if _sampling_pool is None:
-            _sampling_pool = ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
-            )
-    scale = np.sqrt(1.0 / k)
-
-    def fill(r: int, cols: np.ndarray) -> np.ndarray:
-        source.stream(r + 1).generator().standard_normal(out=cols)
-        cols *= scale
-        return cols.T
-
-    return list(_sampling_pool.map(fill, rounds, buffers))
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in (
+            "scipy_openblas_{}_num_threads64_",
+            "openblas_{}_num_threads64_",
+            "openblas_{}_num_threads",
+        ):
+            get, set_ = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def default_measurement_count(n: int, s: int) -> int:
@@ -171,12 +173,11 @@ class RecoveryConfig:
 
 
 class LazyMatrices(Sequence):
-    """Sequence of sensing matrices regenerated from their streams on access.
+    """The sensing matrices of a seeded ensemble, regenerated from their streams.
 
     Holds no matrix data; each ``[r]`` access re-samples matrix r from
     stream r + 1 of the master seed.  Accessing the same index twice gives
-    bit-identical values.  Useful when the full collection would not fit
-    in memory.
+    bit-identical values.
     """
 
     def __init__(self, master_seed: int, count: int, k: int, n: int):
@@ -197,32 +198,20 @@ class LazyMatrices(Sequence):
             raise IndexError(f"round index {r} out of range for {self._count} rounds")
         return sample_gaussian_matrix(self._source.stream(r + 1), self._k, self._n, 1.0 / self._k)
 
-    def regenerate_into(self, r: int, cols_out: np.ndarray) -> np.ndarray:
-        """Regenerate matrix ``r`` into a caller-owned (n, k) scratch buffer.
 
-        The buffer holds the matrix columns as rows; the returned transpose
-        view is the (k, n) matrix, bit-identical to ``self[r]``.  Lets a
-        sequential consumer avoid a fresh large allocation per round; the
-        view is only valid until the buffer's next reuse.
-        """
-        return self.regenerate_many([r], [cols_out])[0]
+def _sampled(matrices: LazyMatrices, r: int) -> np.ndarray:
+    """Matrix r as ``matrices[r]`` draws it, in this thread's reused (n, k) buffer.
 
-    def regenerate_many(
-        self, rounds: Sequence[int], buffers: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Regenerate several matrices in parallel, round ``rounds[i]`` into ``buffers[i]``.
-
-        Same contract as :meth:`regenerate_into` for each pair; returns the
-        (k, n) views in the order of ``rounds``.
-        """
-        if len(buffers) < len(rounds):
-            raise ValueError(f"need a scratch buffer for each of the {len(rounds)} rounds")
-        for r, cols in zip(rounds, buffers):
-            if not 0 <= r < self._count:
-                raise IndexError(f"round index {r} out of range for {self._count} rounds")
-            if cols.shape != (self._n, self._k):
-                raise ValueError(f"scratch buffer must have shape {(self._n, self._k)}")
-        return _sample_rounds(self._source, self._k, rounds, buffers)
+    Returns the (k, n) view, which holds until the thread samples again.
+    """
+    shape, buffers = (matrices._n, matrices._k), _sampling_thread_buffers
+    if getattr(buffers, "cols", None) is None or buffers.cols.shape != shape:
+        buffers.cols = None  # release the old buffer before allocating the new one
+        buffers.cols = np.empty(shape)
+    cols = buffers.cols
+    matrices._source.stream(r + 1).generator().standard_normal(out=cols)
+    cols *= np.sqrt(1.0 / matrices._k)
+    return cols.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +219,9 @@ class SensingEnsemble:
     """2*r0 sensing matrices, each k-by-n with N(0, 1/k) entries.
 
     ``matrices[r]`` is reproducible from (master_seed, r) alone.  The
-    sequence may be eager (a tuple of arrays) or a :class:`LazyMatrices`
-    view that regenerates on access.
+    sequence is either stored (a tuple of arrays, given explicitly or read
+    from a fixture file) or, for an ensemble from :func:`build_ensemble`, a
+    :class:`LazyMatrices` that holds no matrix.
     """
 
     n: int
@@ -248,23 +238,71 @@ class SensingEnsemble:
             )
 
 
-def build_ensemble(config: RecoveryConfig, lazy: bool = False) -> SensingEnsemble:
-    """Draw the ensemble of 2*r0 sensing matrices for a configuration.
+def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
+    """The seeded ensemble of 2*r0 sensing matrices for a configuration.
 
-    With ``lazy=True`` the matrices are regenerated from their streams on
-    every access instead of being held in memory; values are identical
-    either way.  The eager matrices are sampled in parallel, one round per
-    thread of the shared sampling pool.
+    No matrix is sampled here: each pass over the ensemble samples the
+    rounds it visits, and ``matrices[r]`` regenerates matrix r on access.
     """
-    view = LazyMatrices(config.master_seed, 2 * config.r0, config.k, config.n)
-    matrices: Sequence[np.ndarray] = view
-    if not lazy:
-        rounds = range(len(view))
-        buffers = [np.empty((config.n, config.k)) for _ in rounds]
-        matrices = tuple(view.regenerate_many(rounds, buffers))
+    matrices = LazyMatrices(config.master_seed, 2 * config.r0, config.k, config.n)
     return SensingEnsemble(
         n=config.n, k=config.k, r0=config.r0, master_seed=config.master_seed, matrices=matrices
     )
+
+
+def _each_round(
+    ensemble: SensingEnsemble, rounds: Iterable[int], work: Callable[[int, np.ndarray], None]
+) -> None:
+    """Call ``work(r, A)`` with the matrix A of each round r: one pass over the rounds.
+
+    A stored ensemble is visited in order on the caller's thread.  A seeded
+    one's rounds run on the shared pool, each sampled into its thread's
+    reused buffer, so ``work`` must be done with A when it returns.
+
+    Meanwhile numpy's OpenBLAS, if bundled, is held at one thread: the pool
+    keeps every core busy, and OpenBLAS threads woken by a threaded product
+    would spin on those cores after it.  The setting is process-wide; the
+    last pass to end, by returning or raising, restores the old count.
+    """
+    global _sampling_pool, _pinning_passes, _blas_threads_before
+    matrices = ensemble.matrices
+    if not isinstance(matrices, LazyMatrices):
+        for r in rounds:
+            work(r, matrices[r])
+        return
+    blas = _openblas_threads()
+    with _sampling_lock:
+        if _sampling_pool is None:
+            _sampling_pool = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
+            )
+        pool = _sampling_pool
+        if blas is not None and _pinning_passes == 0:
+            _blas_threads_before = blas[0]()
+            blas[1](1)
+        _pinning_passes += 1
+    try:
+        # reading every result raises the first error of any round here
+        for _ in pool.map(lambda r: work(r, _sampled(matrices, r)), rounds):
+            pass
+    finally:
+        with _sampling_lock:
+            _pinning_passes -= 1
+            if blas is not None and _pinning_passes == 0:
+                blas[1](_blas_threads_before)
+
+
+def _measure_round(
+    A: np.ndarray, z: np.ndarray, r: int, r0: int, sigma_w: float, noise_mode: str, noise_seed: int
+) -> np.ndarray:
+    """b[r] = A @ z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``."""
+    k = A.shape[0]
+    noise_sd = sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
+    b = A @ z
+    if noise_sd > 0:
+        noise = GaussianSource(noise_seed).stream(2 * r0 + r + 1).generator().standard_normal(k)
+        b = b + noise_sd * noise
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +320,10 @@ class MeasurementEnsemble:
     master_seed: int
     sigma_w: float | None = None
     noise_mode: str | None = None
+    # v[r] = A[r]^T b[r] for r < r0 as measure() kept them, and a weak reference to the ensemble
+    _projections: tuple[weakref.ref, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2 or self.vectors.shape != (2 * self.r0, self.k):
@@ -300,35 +342,65 @@ def measure(
     noise_mode: str,
     noise_seed: int,
 ) -> MeasurementEnsemble:
-    """Take the 2*r0 noisy measurements of a signal through an ensemble.
+    """Take the 2*r0 noisy measurements of a finite signal through an ensemble.
 
     Per-coordinate noise variance is sigma_w**2 in theory mode and
     sigma_w**2 / k in experiment mode; sigma_w = 0 gives exact noiseless
-    products.  Noise vector r comes from stream 2*r0 + r of ``noise_seed``.
+    products.  Noise vector r comes from stream 2*r0 + r + 1 of
+    ``noise_seed``.
+
+    The pass also back-projects rounds [0, r0), v[r] = A[r]^T b[r], while
+    each matrix is at hand, and keeps them for the recovery routines, so no
+    matrix is sampled twice.  The arrays are read-only so they cannot go stale.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
     _check_noise_level(sigma_w)
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
-    rounds = 2 * ensemble.r0
-    k = ensemble.k
-    noise_sd = sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
-    noise_source = GaussianSource(noise_seed)
-    vectors = np.empty((rounds, k))
-    for r in range(rounds):
-        b = matvec(ensemble.matrices[r], zv)
-        if noise_sd > 0:
-            b = b + noise_sd * noise_source.stream(rounds + r + 1).generator().standard_normal(k)
-        vectors[r] = b
-    return MeasurementEnsemble(
+    if zv.shape != (ensemble.n,):
+        raise DimensionMismatchError(
+            f"signal of shape {zv.shape} does not fit an ensemble of dimension {ensemble.n}"
+        )
+    if not np.isfinite(zv).all():
+        raise ValueError("signal must be finite")
+    r0 = ensemble.r0
+    vectors = np.empty((2 * r0, ensemble.k))
+    projections = np.empty((r0, ensemble.n))
+
+    def measure_and_project(r: int, A: np.ndarray) -> None:
+        vectors[r] = _measure_round(A, zv, r, r0, sigma_w, noise_mode, noise_seed)
+        if r < r0:
+            projections[r] = A.T @ vectors[r]
+
+    _each_round(ensemble, range(2 * r0), measure_and_project)
+    vectors.flags.writeable = projections.flags.writeable = False
+    measurements = MeasurementEnsemble(
         vectors=vectors,
         n=ensemble.n,
-        k=k,
-        r0=ensemble.r0,
+        k=ensemble.k,
+        r0=r0,
         master_seed=ensemble.master_seed,
         sigma_w=sigma_w,
         noise_mode=noise_mode,
     )
+    object.__setattr__(measurements, "_projections", (weakref.ref(ensemble), projections))
+    return measurements
+
+
+def _back_project(
+    ensemble: SensingEnsemble, measurements: MeasurementEnsemble, rounds: range
+) -> np.ndarray:
+    """v[r] = A[r]^T @ b[r] for every (checked) round: kept by :func:`measure`, or one pass."""
+    kept = measurements._projections
+    if kept is not None and kept[0]() is ensemble and max(rounds[0], rounds[-1]) < ensemble.r0:
+        return kept[1][rounds]
+    per_round = np.empty((len(rounds), ensemble.n))
+
+    def project(r: int, A: np.ndarray) -> None:
+        per_round[rounds.index(r)] = A.T @ measurements.vectors[r]
+
+    _each_round(ensemble, rounds, project)
+    return per_round
 
 
 def _write_fixture(
@@ -361,11 +433,18 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
     """Write an ensemble to the binary fixture format.
 
     Layout: magic ``RCS1`` then n, k, r0, seed as little-endian 64-bit
-    fields, followed by the 2*r0 matrices as row-major float64.
+    fields, followed by the 2*r0 matrices as row-major float64, each
+    written to its place as the pass reaches it.
     """
-    _write_fixture(
-        path, ensemble.n, ensemble.k, ensemble.r0, ensemble.master_seed, ensemble.matrices
-    )
+    n, k = ensemble.n, ensemble.k
+    _write_fixture(path, n, k, ensemble.r0, ensemble.master_seed, ())
+
+    def write_round(r: int, A: np.ndarray) -> None:
+        with open(path, "r+b") as fh:
+            fh.seek(_HEADER.size + 8 * r * k * n)
+            fh.write(np.ascontiguousarray(A, dtype="<f8"))
+
+    _each_round(ensemble, range(2 * ensemble.r0), write_round)
 
 
 def load_ensemble(path) -> SensingEnsemble:

@@ -183,7 +183,7 @@ def test_criterion_3_suppressed_recovery_event():
             cfg = RecoveryConfig(n=n, s=s, k=k, r0=r0, sigma_w=sw,
                                  noise_mode="theory", master_seed=seed)
             z = prefix_signal(n, s, magnitude, seed)
-            ensemble = build_ensemble(cfg, lazy=True)
+            ensemble = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
             if run == 0:
                 # block-built measurements match a materialized round

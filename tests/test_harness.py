@@ -256,6 +256,25 @@ class TestSharedTrialInputs:
         outcome = run_grid(small_grid(trials=2, methods=("rand",)))
         assert outcome.failures == [] and len(outcome.results) == 2
 
+    def test_rand_trial_opens_each_matrix_stream_once(self, monkeypatch):
+        # measure() back-projects while each matrix is at hand, so the
+        # recovery samples nothing again
+        grid = small_grid(trials=1, methods=("rand",))
+        cfg = trial_config(grid, 128, 3, 0)
+        opened = []
+        real_generator = GaussianSource.generator
+
+        def recording_generator(source):
+            if source.master_seed == cfg.master_seed:
+                opened.append(source.stream_index)
+            return real_generator(source)
+
+        monkeypatch.setattr(GaussianSource, "generator", recording_generator)
+        [row] = run_trial(grid, 128, 3, 0)
+        assert row.method == "rand"
+        matrix_streams = sorted(i for i in opened if 1 <= i <= 2 * cfg.r0)
+        assert matrix_streams == list(range(1, 2 * cfg.r0 + 1))
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_rows_equal_separate_runs_of_each_method(self, workers):
         grid = small_grid(

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-import randcs.recovery as recovery
 from randcs.numerics import GaussianSource, matvec, sample_gaussian_matrix
 from randcs.recovery import (
     back_project,
@@ -82,16 +81,21 @@ class TestBackProject:
         for row in proj.per_round:
             assert np.array_equal(row, z.values)
 
-    def test_lazy_blocks_match_eager(self, monkeypatch):
-        # a three-matrix block cap splits the 7 rounds into blocks of 3, 3, 1
+    def test_lazy_blocks_match_eager(self):
+        # rounds 1..7 straddle the r0 = 4 back-projections measure() kept,
+        # so they take one pass over the seeded ensemble, which must match
+        # the same matrices held in memory and the products measure() kept
         cfg = RecoveryConfig(n=30, s=3, k=12, r0=4, master_seed=8)
-        monkeypatch.setattr(recovery, "_LAZY_BLOCK_BYTES", 3 * 8 * cfg.n * cfg.k)
-        eager = build_ensemble(cfg)
+        seeded = build_ensemble(cfg)
+        held = SensingEnsemble(
+            n=30, k=12, r0=4, master_seed=8, matrices=tuple(seeded.matrices[r] for r in range(8))
+        )
         z = generate_binary_signal(GaussianSource(8), cfg.n, cfg.s)
-        meas = measure(eager, z, 0.1, "experiment", 8)
+        meas = measure(seeded, z, 0.1, "experiment", 8)
         rounds = range(1, 8)
-        lazy = back_project(build_ensemble(cfg, lazy=True), meas, rounds).per_round
-        assert np.array_equal(lazy, back_project(eager, meas, rounds).per_round)
+        streamed = back_project(seeded, meas, rounds).per_round
+        assert np.array_equal(streamed, back_project(held, meas, rounds).per_round)
+        assert np.array_equal(streamed[:3], back_project(seeded, meas, range(1, 4)).per_round)
 
     def test_empty_range_rejected(self):
         ens = identity_ensemble(3)
@@ -104,6 +108,8 @@ class TestBackProject:
         meas = measure(ens, np.zeros(3), 0.0, "theory", 0)
         with pytest.raises(ValueError):
             back_project(ens, meas, range(0, 3))
+        with pytest.raises(ValueError):
+            back_project(ens, meas, range(1, -2, -1))
 
     def test_unbiased_with_uncorrelated_coordinates(self):
         # mean of v across 1e4 independent rounds near z, covariance of
@@ -114,7 +120,7 @@ class TestBackProject:
         z = prefix_signal(n, s)
         cfg = RecoveryConfig(n=n, s=s, k=k, r0=rounds // 2, sigma_w=sw,
                              noise_mode="theory", master_seed=31)
-        ens = build_ensemble(cfg, lazy=True)
+        ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 31)
         V = back_project(ens, meas, range(rounds)).per_round
         theta2 = z.values**2 / k + 5.0 / k + sw**2
@@ -183,7 +189,7 @@ class TestRecoverBasic:
             seed = 4200 + run
             cfg = RecoveryConfig(n=n, s=s, k=k, r0=r0, sigma_w=sw,
                                  noise_mode="theory", master_seed=seed)
-            ens = build_ensemble(cfg, lazy=True)
+            ens = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
             got = recover_basic(ens, meas, r0)
             hits += bool(np.max(np.abs(got.values - z.values)) < 2 * sw)
@@ -198,6 +204,7 @@ class TestEstimateNoiseFloor:
         floor = estimate_noise_floor(meas, range(3, 6), k=3)
         assert floor.sigma2 == 9.0
         assert floor.threshold == 2.0 * math.sqrt(9.0 / 3)
+        assert estimate_noise_floor(meas, range(2, -1, -1), k=3) == floor
 
     def test_zero_measurements_give_zero_floor(self):
         meas = MeasurementEnsemble(vectors=np.zeros((4, 3)), n=3, k=3, r0=2, master_seed=0)
@@ -347,7 +354,7 @@ class TestThresholdClassification:
             seed = 12_000 + run
             cfg = RecoveryConfig(n=n, s=s, k=k, r0=r0, sigma_w=sw,
                                  noise_mode="theory", master_seed=seed)
-            ens = build_ensemble(cfg, lazy=True)
+            ens = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
             floor = estimate_noise_floor(meas, range(r0, 2 * r0), k)
             zhat = recover_basic(ens, meas, r0).values

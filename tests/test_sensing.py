@@ -1,6 +1,8 @@
 import math
 import os
 import sys
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import randcs.sensing as sensing
 from randcs.numerics import GaussianSource, matvec, sample_gaussian_matrix
+from randcs.recovery import back_project, recover_suppressed
 from randcs.sensing import (
     LazyMatrices,
     MeasurementEnsemble,
@@ -120,8 +123,7 @@ class TestBuildEnsemble:
         assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
 
     def test_matrix_reproducible_from_seed_and_round(self):
-        # more rounds than sampling threads: each matrix is still the
-        # sequential draw from stream r + 1, whatever thread sampled it
+        # each matrix is the draw from stream r + 1 of the master seed
         cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
         ens = build_ensemble(cfg)
         view = LazyMatrices(99, 6, 8, 16)
@@ -130,12 +132,14 @@ class TestBuildEnsemble:
             expected = sample_gaussian_matrix(GaussianSource(99).stream(r + 1), 8, 16, 1 / 8)
             assert np.array_equal(ens.matrices[r], expected)
 
-    def test_lazy_matches_eager(self):
+    def test_lazy_matches_eager(self, tmp_path):
+        # the matrices a pass samples on the pool (written out by
+        # dump_ensemble) are the ones matrices[r] regenerates on access
         cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
-        eager = build_ensemble(cfg)
-        lazy = build_ensemble(cfg, lazy=True)
-        assert len(lazy.matrices) == 6
-        assert all(np.array_equal(lazy.matrices[r], eager.matrices[r]) for r in range(6))
+        ens = build_ensemble(cfg)
+        assert len(ens.matrices) == 6
+        streamed = _dumped(ens, tmp_path).matrices
+        assert all(np.array_equal(streamed[r], ens.matrices[r]) for r in range(6))
 
     def test_lazy_index_errors(self):
         view = LazyMatrices(1, 4, 2, 3)
@@ -144,24 +148,31 @@ class TestBuildEnsemble:
         assert np.array_equal(view[-1], view[3])
 
     def test_regenerate_into_bit_identical(self):
-        view = LazyMatrices(99, 6, 8, 16)
-        scratch = np.empty((16, 8))
+        # more rounds than sampling threads, so every thread reuses its
+        # buffer: each round is still the draw from its own stream
+        cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
+        ens = build_ensemble(cfg)
+        meas = measure(ens, generate_binary_signal(99, 16, 2), 0.1, "experiment", 99)
+        got = back_project(ens, _unkept(meas), range(6)).per_round
         for r in range(6):
-            got = view.regenerate_into(r, scratch)
-            assert np.array_equal(got, view[r])
+            A = sample_gaussian_matrix(GaussianSource(99).stream(r + 1), 8, 16, 1 / 8)
+            assert np.array_equal(got[r], A.T @ meas.vectors[r])
 
     def test_regenerate_into_validates(self):
         view = LazyMatrices(99, 6, 8, 16)
         with pytest.raises(IndexError):
-            view.regenerate_into(6, np.empty((16, 8)))
+            view[6]
+        ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99))
         with pytest.raises(ValueError):
-            view.regenerate_into(0, np.empty((8, 16)))
+            measure(ens, np.zeros(8), 0.1, "experiment", 99)
 
     def test_concurrent_builds_share_one_pool(self, monkeypatch):
         # more callers than cores, rapid thread switching, first use racing
         # the pool's creation: one pool of cpu_count threads, same values
         cfg = RecoveryConfig(n=40, s=2, k=24, r0=4, master_seed=31)
-        alone = build_ensemble(cfg)
+        ens = build_ensemble(cfg)
+        z = generate_binary_signal(31, 40, 2)
+        alone = measure(ens, z, 0.1, "experiment", 31)
         created = []
         real_executor = sensing.ThreadPoolExecutor
 
@@ -175,30 +186,43 @@ class TestBuildEnsemble:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as callers:
-                builds = list(callers.map(lambda _: build_ensemble(cfg), range(8), timeout=60))
+                runs = list(
+                    callers.map(
+                        lambda _: measure(ens, z, 0.1, "experiment", 31), range(8), timeout=60
+                    )
+                )
         finally:
             sys.setswitchinterval(interval)
             for pool, _ in created:
                 pool.shutdown()
         assert len(created) == 1
         assert created[0][1]["max_workers"] == os.cpu_count()
-        for ens in builds:
-            assert all(np.array_equal(a, b) for a, b in zip(ens.matrices, alone.matrices))
+        for meas in runs:
+            assert np.array_equal(meas.vectors, alone.vectors)
+            assert np.array_equal(
+                back_project(ens, meas, range(4)).per_round,
+                back_project(ens, alone, range(4)).per_round,
+            )
 
     def test_regenerate_many_bit_identical(self):
-        view = LazyMatrices(99, 6, 8, 16)
-        scratch = np.empty((4, 16, 8))
-        got = view.regenerate_many([5, 0, 3], scratch)
-        assert [np.array_equal(g, view[r]) for g, r in zip(got, [5, 0, 3])] == [True] * 3
+        # rounds requested out of order land in the order requested
+        cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
+        ens = build_ensemble(cfg)
+        meas = _unkept(measure(ens, generate_binary_signal(99, 16, 2), 0.1, "experiment", 99))
+        rounds = range(5, -1, -2)
+        got = back_project(ens, meas, rounds).per_round
+        expected = [ens.matrices[r].T @ meas.vectors[r] for r in rounds]
+        assert [np.array_equal(g, e) for g, e in zip(got, expected)] == [True] * 3
 
     def test_regenerate_many_validates(self):
-        view = LazyMatrices(99, 6, 8, 16)
+        ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99))
+        meas = measure(ens, np.zeros(16), 0.1, "experiment", 99)
         with pytest.raises(ValueError):
-            view.regenerate_many([0, 1], np.empty((1, 16, 8)))
+            back_project(ens, meas, range(0))
         with pytest.raises(ValueError):
-            view.regenerate_many([0], np.empty((1, 8, 16)))
+            back_project(ens, meas, range(0, 7))
         with pytest.raises(IndexError):
-            view.regenerate_many([0, 6], np.empty((2, 16, 8)))
+            ens.matrices[-7]
 
     def test_pooled_entry_variance(self):
         # all matrices at k=200 pooled: variance within 5 percent of 1/200
@@ -238,7 +262,7 @@ class TestMeasure:
     def test_theory_mode_noise_variance(self):
         # z = 0, k = 100: pooled coordinates have variance sigma_w^2 within 5%
         cfg = RecoveryConfig(n=5, s=1, k=100, r0=600, master_seed=3)
-        ens = build_ensemble(cfg, lazy=True)
+        ens = build_ensemble(cfg)
         meas = measure(ens, np.zeros(5), 0.4, "theory", 3)
         pooled = meas.vectors.ravel()
         assert pooled.size >= 10**5
@@ -246,7 +270,7 @@ class TestMeasure:
 
     def test_experiment_mode_noise_variance(self):
         cfg = RecoveryConfig(n=5, s=1, k=100, r0=600, master_seed=3)
-        ens = build_ensemble(cfg, lazy=True)
+        ens = build_ensemble(cfg)
         meas = measure(ens, np.zeros(5), 0.4, "experiment", 3)
         target = 0.16 / 100
         assert abs(meas.vectors.var() - target) < 0.05 * target
@@ -281,6 +305,143 @@ class TestMeasure:
             measure(ens, z, 0.1, "experiment", 1)
 
 
+def _dumped(ens, directory):
+    """The ensemble written to an RCS1 file by dump_ensemble and read back."""
+    path = directory / "ens.bin"
+    dump_ensemble(ens, path)
+    return load_ensemble(path)
+
+
+def _unkept(meas):
+    """The same measurements without the back-projections measure() kept."""
+    return MeasurementEnsemble(
+        vectors=meas.vectors, n=meas.n, k=meas.k, r0=meas.r0, master_seed=meas.master_seed
+    )
+
+
+def _blas_threads():
+    blas = sensing._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    return blas[0]()
+
+
+class TestPass:
+    """One pass over the rounds: measure, back-project and dump share it."""
+
+    def test_seeded_and_stored_ensembles(self, tmp_path):
+        # each storage form against its own rounds replayed with the same
+        # numpy calls, bit for bit; the two forms reach the same support
+        # but not always the same last bit, since a stored matrix is
+        # row-major and a sampled one column-major, and BLAS sums the two
+        # layouts in different orders
+        cfg = RecoveryConfig(n=40, s=3, k=24, r0=4, master_seed=61)
+        seeded = build_ensemble(cfg)
+        stored = _dumped(seeded, tmp_path)
+        z = generate_binary_signal(61, 40, 3)
+        results = []
+        for ens in (seeded, stored):
+            meas = measure(ens, z, 0.1, "experiment", 61)
+            projected = back_project(ens, meas, range(8)).per_round
+            for r in range(8):
+                A = sample_gaussian_matrix(GaussianSource(61).stream(r + 1), 24, 40, 1 / 24)
+                assert np.array_equal(ens.matrices[r], A)
+                A = ens.matrices[r]
+                noise = GaussianSource(61).stream(8 + r + 1).generator().standard_normal(24)
+                assert np.array_equal(meas.vectors[r], A @ z.values + 0.1 / math.sqrt(24) * noise)
+                assert np.array_equal(projected[r], A.T @ meas.vectors[r])
+            kept = back_project(ens, meas, range(4)).per_round
+            assert np.array_equal(kept, projected[:4])
+            values = recover_suppressed(ens, meas).values
+            assert np.array_equal(values, recover_suppressed(ens, _unkept(meas)).values)
+            results.append((meas.vectors, projected, values))
+        for a, b in zip(*results):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(results[0][2] != 0, results[1][2] != 0)
+
+    def test_blas_threads_held_at_one_and_restored(self, monkeypatch):
+        before = _blas_threads()
+        get = sensing._openblas_threads()[0]
+        cfg = RecoveryConfig(n=40, s=2, k=24, r0=4, master_seed=5)
+        ens = build_ensemble(cfg)
+        z = generate_binary_signal(5, 40, 2)
+        seen = []
+        real_sampled = sensing._sampled
+
+        def recording_sampled(matrices, r):
+            seen.append(get())
+            return real_sampled(matrices, r)
+
+        monkeypatch.setattr(sensing, "_sampled", recording_sampled)
+        measure(ens, z, 0.1, "experiment", 5)
+        assert seen == [1] * 8
+        assert get() == before
+
+        def failing_sampled(matrices, r):
+            if r == 2:
+                raise RuntimeError("synthetic sampling failure")
+            return real_sampled(matrices, r)
+
+        monkeypatch.setattr(sensing, "_sampled", failing_sampled)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            measure(ens, z, 0.1, "experiment", 5)
+        assert get() == before
+
+        monkeypatch.setattr(sensing, "_sampled", real_sampled)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                runs = list(
+                    callers.map(
+                        lambda _: measure(ens, z, 0.1, "experiment", 5), range(4), timeout=60
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 4
+        assert get() == before
+
+    def test_peak_memory_independent_of_round_count(self, monkeypatch):
+        # one sampling thread, its buffer already allocated: the peak of a
+        # trial's sensing grows with the rounds by far less than a matrix
+        n, k = 300, 100
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        z = generate_binary_signal(3, n, 3)
+
+        def peak(r0):
+            tracemalloc.start()
+            try:
+                ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=r0, master_seed=3))
+                measure(ens, z, 0.1, "experiment", 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        try:
+            peak(2)
+            small, large = peak(2), peak(12)
+        finally:
+            pool.shutdown()
+        assert abs(large - small) < 8 * n * k
+
+    def test_non_finite_signal_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a matrix was sampled")
+
+        monkeypatch.setattr(sensing, "_sampled", no_sampling)
+        monkeypatch.setattr(sensing, "sample_gaussian_matrix", no_sampling)
+        ens = build_ensemble(RecoveryConfig(n=6, s=1, k=4, r0=2, master_seed=1))
+        for bad in (math.nan, math.inf):
+            z = np.zeros(6)
+            z[3] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    measure(ens, z, 0.1, "experiment", 1)
+
+
 def _fixed_test_signal(n=50, s=5):
     # deterministic +/-1 entries on the leading block
     values = np.zeros(n)
@@ -297,7 +458,7 @@ class TestMeasurementEnergyMoments:
         k, rounds, sw = 100, 10_000, 0.1
         cfg = RecoveryConfig(n=50, s=5, k=k, r0=rounds // 2, sigma_w=sw,
                              noise_mode="theory", master_seed=13)
-        ens = build_ensemble(cfg, lazy=True)
+        ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 13)
         energies = np.einsum("rk,rk->r", meas.vectors, meas.vectors)
         expected = 5.0 + k * sw**2
@@ -310,7 +471,7 @@ class TestMeasurementEnergyMoments:
         k, rounds, sw = 100, 100_000, 0.1
         cfg = RecoveryConfig(n=50, s=5, k=k, r0=rounds // 2, sigma_w=sw,
                              noise_mode="theory", master_seed=17)
-        ens = build_ensemble(cfg, lazy=True)
+        ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 17)
         energies = np.einsum("rk,rk->r", meas.vectors, meas.vectors)
         target = (2 / k) * (5.0 + k * sw**2) ** 2
