@@ -5,124 +5,44 @@ through a collection of independent random matrices, using only
 back-projections, medians, and counting (no optimization problem and no
 linear system is solved), plus greedy and 1-bit baselines and a
 reproducible benchmark harness.
+
+The names below are the public API; every other name is imported from its
+submodule (``randcs.sensing``, ``randcs.recovery``, ``randcs.baselines``,
+``randcs.harness`` or ``randcs.numerics``).
 """
 
-from .baselines import (
-    IhtState,
-    OmpState,
-    RankDeficiencyError,
-    biht,
-    hard_threshold,
-    iht_steps,
-    nbiht,
-    omp,
-    omp_steps,
-    sign_quantize,
-)
-from .harness import (
-    ExperimentGrid,
-    GridOutcome,
-    SummaryRow,
-    TrialFailure,
-    TrialResult,
-    emit_csv,
-    emit_summary,
-    jaccard,
-    load_results,
-    run_grid,
-    run_trial,
-    summarize,
-)
-from .numerics import (
-    DimensionMismatchError,
-    GaussianSource,
-    derive_seed,
-    matvec,
-    matvec_transposed,
-    median,
-    sample_gaussian_matrix,
-    squared_norm,
-)
-from .recovery import (
-    BackProjection,
-    NoiseFloor,
-    RecoveredSignal,
-    back_project,
-    determine_support,
-    estimate_noise_floor,
-    recover_basic,
-    recover_suppressed,
-)
+from .baselines import biht, nbiht, omp, sign_quantize
+from .harness import ExperimentGrid, run_grid
+from .numerics import GaussianSource, sample_gaussian_matrix
+from .recovery import back_project, determine_support, estimate_noise_floor, recover_suppressed
 from .sensing import (
-    MeasurementEnsemble,
     RecoveryConfig,
-    SensingEnsemble,
-    Signal,
     build_ensemble,
-    default_measurement_count,
-    default_round_count,
     dump_ensemble,
-    dump_measurements,
     generate_binary_signal,
     load_ensemble,
-    load_measurements,
     measure,
-    theory_round_count,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackProjection",
-    "DimensionMismatchError",
     "ExperimentGrid",
     "GaussianSource",
-    "GridOutcome",
-    "IhtState",
-    "MeasurementEnsemble",
-    "NoiseFloor",
-    "OmpState",
-    "RankDeficiencyError",
-    "RecoveredSignal",
     "RecoveryConfig",
-    "SensingEnsemble",
-    "Signal",
-    "SummaryRow",
-    "TrialFailure",
-    "TrialResult",
     "back_project",
     "biht",
     "build_ensemble",
-    "default_measurement_count",
-    "default_round_count",
-    "derive_seed",
     "determine_support",
     "dump_ensemble",
-    "dump_measurements",
-    "emit_csv",
-    "emit_summary",
     "estimate_noise_floor",
     "generate_binary_signal",
-    "hard_threshold",
-    "iht_steps",
-    "jaccard",
     "load_ensemble",
-    "load_measurements",
-    "load_results",
-    "matvec",
-    "matvec_transposed",
     "measure",
-    "median",
     "nbiht",
     "omp",
-    "omp_steps",
-    "recover_basic",
     "recover_suppressed",
     "run_grid",
-    "run_trial",
     "sample_gaussian_matrix",
     "sign_quantize",
-    "squared_norm",
-    "summarize",
-    "theory_round_count",
 ]

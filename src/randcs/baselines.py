@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, matvec
+from .numerics import DimensionMismatchError
 from .recovery import RecoveredSignal
 from .sensing import Signal
 
@@ -52,7 +52,11 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
 def sign_quantize(A: np.ndarray, z: Signal | np.ndarray) -> np.ndarray:
     """One-bit measurements: +1 where a coordinate of A @ z is positive, else -1."""
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
-    return _sign_pm1(matvec(A, zv))
+    if A.ndim != 2 or zv.shape != (A.shape[1],):
+        raise DimensionMismatchError(
+            f"cannot multiply {A.shape} matrix by vector of dim {zv.shape}"
+        )
+    return _sign_pm1(A @ zv)
 
 
 def _sign_pm1(y: np.ndarray) -> np.ndarray:
@@ -197,6 +201,8 @@ def iht_steps(
     """
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
+    if not np.isfinite(step):
+        raise ValueError(f"step size must be finite, got {step}")
     if A.ndim != 2 or signs.ndim != 1 or A.shape[0] != signs.shape[0]:
         raise DimensionMismatchError(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"

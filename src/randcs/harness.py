@@ -26,11 +26,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import biht, nbiht, omp, sign_quantize
-from .numerics import GaussianSource, derive_seed, sample_gaussian_matrix
+from .numerics import derive_seed
 from .recovery import determine_support
 from .sensing import (
     NOISE_MODES,
-    SIGNAL_STREAM,
     RecoveryConfig,
     Signal,
     _check_noise_level,
@@ -104,6 +103,12 @@ class ExperimentGrid:
         _check_noise_level(self.sigma_w)
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
+        for name in ("k_override", "r0_override", "biht_max_iters"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not np.isfinite(self.biht_step):
+            raise ValueError(f"biht_step must be finite, got {self.biht_step}")
         for f in self.sparsity_fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"sparsity fractions must lie in (0, 1], got {f}")
@@ -228,12 +233,12 @@ def run_trial(
     """
     config = trial_config(grid, n, s, trial)
     seed = config.master_seed
-    signal = generate_binary_signal(GaussianSource(seed).stream(SIGNAL_STREAM), n, s)
+    signal = generate_binary_signal(seed, n, s)
 
     A1, first_gen = None, 0.0
     if any(method != "rand" for method in grid.methods):
         t_gen = time.perf_counter()
-        A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), config.k, n, 1.0 / config.k)
+        A1 = build_ensemble(config).matrices[0]
         first_gen = time.perf_counter() - t_gen
 
     rows: list[TrialResult | TrialFailure] = []

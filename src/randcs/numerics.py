@@ -1,8 +1,8 @@
-"""Dense numeric primitives shared by every other module.
+"""Numeric primitives shared by every other module.
 
-Seedable Gaussian sampling on counter-based streams, dense products,
-selection-based medians, and squared norms.  Everything here is a pure
-function of its inputs: the same seeds always reproduce the same values.
+Seed derivation, seedable Gaussian sampling on counter-based streams and
+selection-based medians.  Everything here is a pure function of its
+inputs: the same seeds always reproduce the same values.
 """
 
 from __future__ import annotations
@@ -103,24 +103,6 @@ def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: flo
     return cols.T
 
 
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense product A @ x with an explicit conformance check."""
-    if A.ndim != 2 or x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {A.shape} matrix by vector of dim {x.shape}"
-        )
-    return A @ x
-
-
-def matvec_transposed(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product A^T @ y without materializing the transpose."""
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply transpose of {A.shape} matrix by vector of dim {y.shape}"
-        )
-    return A.T @ y
-
-
 def median(values, axis: int | None = None):
     """Median by expected-linear selection (introselect), not a full sort.
 
@@ -147,8 +129,3 @@ def median(values, axis: int | None = None):
         out = 0.5 * (np.take(part, mid - 1, axis=axis) + np.take(part, mid, axis=axis))
     return float(out) if scalar else out
 
-
-def squared_norm(x: np.ndarray) -> float:
-    """Sum of squared entries of a vector."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ x)

@@ -26,14 +26,6 @@ from .numerics import median
 from .sensing import MeasurementEnsemble, SensingEnsemble, _back_project
 
 
-@dataclass(frozen=True, eq=False)
-class BackProjection:
-    """Back-projected estimates, one row per requested round."""
-
-    rounds: range
-    per_round: np.ndarray
-
-
 @dataclass(frozen=True)
 class NoiseFloor:
     """Estimated measurement energy and the classification threshold derived from it."""
@@ -62,8 +54,8 @@ def _check_rounds(rounds: range, available: int) -> None:
 
 def back_project(
     ensemble: SensingEnsemble, measurements: MeasurementEnsemble, rounds: range
-) -> BackProjection:
-    """Compute v[r] = A[r]^T @ b[r] for every round in ``rounds`` (0-based).
+) -> np.ndarray:
+    """v[r] = A[r]^T @ b[r] for every round in ``rounds`` (0-based), one row per round.
 
     For rounds in [0, r0) of measurements that
     :func:`~randcs.sensing.measure` took through this same ensemble, these
@@ -73,7 +65,7 @@ def back_project(
     per thread at a time.
     """
     _check_rounds(rounds, min(len(ensemble.matrices), measurements.vectors.shape[0]))
-    return BackProjection(rounds=rounds, per_round=_back_project(ensemble, measurements, rounds))
+    return _back_project(ensemble, measurements, rounds)
 
 
 def recover_basic(
@@ -89,8 +81,7 @@ def recover_basic(
     field simply collects the nonzero coordinates.
     """
     r0 = ensemble.r0 if r0 is None else r0
-    projection = back_project(ensemble, measurements, range(r0))
-    values = median(projection.per_round, axis=0)
+    values = median(back_project(ensemble, measurements, range(r0)), axis=0)
     support = frozenset(int(i) for i in np.flatnonzero(values))
     return RecoveredSignal(values=values, support=support, method="basic")
 
@@ -145,6 +136,6 @@ def determine_support(
     floor = estimate_noise_floor(measurements, range(r0, 2 * r0), ensemble.k)
     if floor.sigma2 == 0.0:
         return frozenset()
-    projection = back_project(ensemble, measurements, range(r0))
-    counts = (np.abs(projection.per_round) >= floor.threshold).sum(axis=0)
+    projections = back_project(ensemble, measurements, range(r0))
+    counts = (np.abs(projections) >= floor.threshold).sum(axis=0)
     return frozenset(int(i) for i in np.flatnonzero(counts >= math.ceil(r0 / 2)))

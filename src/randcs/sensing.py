@@ -6,9 +6,9 @@ noise variance ``sigma_w**2`` for analysis work, ``sigma_w**2 / k`` for
 benchmark runs).  Every component derives from a fixed stream map, so any
 matrix, noise vector, or signal is reproducible in isolation:
 
-* stream 0               -- the signal
-* stream r, r in [1, 2*r0]   -- sensing matrix r
-* stream 2*r0 + r         -- noise vector r
+* stream 0                        -- the signal
+* stream r + 1, r in [0, 2*r0)    -- sensing matrix r
+* stream 2*r0 + r + 1             -- noise vector r
 
 A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
 it is one pass over its rounds: each thread of one process-wide pool of
@@ -422,6 +422,8 @@ def _read_fixture(path) -> tuple[int, int, int, int, np.ndarray]:
         magic, n, k, r0, seed = _HEADER.unpack(header)
         if magic != _FIXTURE_MAGIC:
             raise ValueError(f"{path}: not an ensemble fixture (bad magic {magic!r})")
+        if min(n, k, r0) < 1:
+            raise ValueError(f"{path}: header needs n, k and r0 of at least 1, got {n}, {k}, {r0}")
         payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload_bytes % 8:
             raise ValueError(f"{path}: {payload_bytes}-byte payload is not whole float64 values")

@@ -35,8 +35,6 @@ from randcs.cli import main as cli_main
 from randcs.numerics import (
     GaussianSource,
     derive_seed,
-    matvec,
-    matvec_transposed,
     median,
     sample_gaussian_matrix,
 )
@@ -120,8 +118,8 @@ def test_criterion_1_back_projection_moments():
         for i in range(N):
             A = sample_gaussian_matrix(base.stream(2 * i + 1), k, N1, 1.0 / k)
             w = base.stream(2 * i + 2).generator().standard_normal(k)
-            b = matvec(A, z) + sw * w
-            v = matvec_transposed(A, b)
+            b = A @ z + sw * w
+            v = A.T @ b
             sum_v += v
             sum_v2 += v * v
             prod = v[pi] * v[pj]
@@ -189,7 +187,7 @@ def test_criterion_3_suppressed_recovery_event():
                 # block-built measurements match a materialized round
                 A = ensemble.matrices[r0]
                 w = GaussianSource(seed).stream(3 * r0 + 1).generator().standard_normal(k)
-                full = matvec(A, z.values) + sw * w
+                full = A @ z.values + sw * w
                 assert np.allclose(meas.vectors[r0], full, rtol=1e-9, atol=1e-12)
             got = recover_suppressed(ensemble, meas)
             support_ok = got.support == z.support

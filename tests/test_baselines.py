@@ -77,6 +77,10 @@ class TestSignQuantize:
         doubled = Signal.from_values(2.0 * z.values)
         assert np.array_equal(sign_quantize(A, z), sign_quantize(A, doubled))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            sign_quantize(np.eye(2), np.ones(3))
+
 
 class TestOmp:
     @pytest.mark.parametrize("k, n", [(1438, 700), (1000, 257), (3, 2)])
@@ -210,6 +214,13 @@ class TestBihtFamily:
         A, _, signs = self._instance()
         with pytest.raises(ValueError):
             biht(A, signs, 4, max_iters=0)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    def test_non_finite_step_rejected(self, solver):
+        # a NaN step would otherwise empty the support without an error
+        A, _, signs = self._instance()
+        with pytest.raises(ValueError, match="finite"):
+            solver(A, signs, 4, step=math.nan)
 
     @pytest.mark.parametrize("solver", [biht, nbiht])
     def test_non_finite_signs_rejected(self, solver):

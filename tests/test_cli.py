@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestBenchCommand:
         assert main(args) == 1
         assert "methods" in capsys.readouterr().err
 
+    def test_zero_k_override_is_usage_error(self, tmp_path, capsys):
+        # rejected with the grid, before any trial runs
+        args, out, _ = bench_args(tmp_path)
+        assert main(args + ["--k", "0"]) == 1
+        assert "k_override" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -141,6 +149,18 @@ class TestRecoverCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("n, k, r0", [(40, 60, 0), (40, 0, 6)])
+    def test_zero_dimension_header_is_usage_error(self, tmp_path, n, k, r0, capsys):
+        # header-only files: the empty payloads agree with the headers
+        paths = [tmp_path / "ens.bin", tmp_path / "meas.bin"]
+        for path in paths:
+            path.write_bytes(struct.pack("<4sQQQQ", b"RCS1", n, k, r0, 23))
+        assert main(["recover", "--ensemble", str(paths[0]), "--measurements", str(paths[1]),
+                     "--algorithm", "support"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("randcs recover: ")
 
     def test_missing_file_is_usage_error(self, fixtures, capsys):
         *_, mpath = fixtures

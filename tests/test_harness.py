@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import randcs.harness as harness
+import randcs.sensing as sensing
 from randcs.harness import (
     CSV_COLUMNS,
     ExperimentGrid,
@@ -86,6 +87,11 @@ class TestExperimentGrid:
             dict(sparsity_fractions=(0.001,)),  # rounds to zero nonzeros at n=128
             dict(sigma_w=math.nan),
             dict(sigma_w=math.inf),
+            dict(biht_step=math.nan),
+            dict(biht_step=math.inf),
+            dict(biht_max_iters=0),
+            dict(k_override=0),
+            dict(r0_override=0),
         ],
     )
     def test_invalid_grids_rejected(self, overrides):
@@ -215,7 +221,7 @@ class TestSharedTrialInputs:
         assert kept == {(m, t) for m in grid.methods for t in range(3)} - {("omp", 1)}
 
     def test_shared_generation_failure_fails_every_method(self, monkeypatch):
-        real = harness.sample_gaussian_matrix
+        real = sensing.sample_gaussian_matrix
 
         def failing_sample(source, k, n, variance):
             if source.master_seed == trial_config(grid, 128, 3, 2).master_seed:
@@ -223,7 +229,7 @@ class TestSharedTrialInputs:
             return real(source, k, n, variance)
 
         grid = small_grid(trials=3, methods=("rand", "omp", "nbiht"))
-        monkeypatch.setattr(harness, "sample_gaussian_matrix", failing_sample)
+        monkeypatch.setattr(sensing, "sample_gaussian_matrix", failing_sample)
         outcome = run_grid(grid)
         assert [(f.method, f.trial) for f in outcome.failures] == [
             ("rand", 2), ("omp", 2), ("nbiht", 2)
@@ -235,14 +241,14 @@ class TestSharedTrialInputs:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_matrix_sampled_once_per_trial(self, monkeypatch, workers):
-        real = harness.sample_gaussian_matrix
+        real = sensing.sample_gaussian_matrix
         seeds = []
 
         def counting_sample(source, k, n, variance):
             seeds.append(source.master_seed)
             return real(source, k, n, variance)
 
-        monkeypatch.setattr(harness, "sample_gaussian_matrix", counting_sample)
+        monkeypatch.setattr(sensing, "sample_gaussian_matrix", counting_sample)
         grid = small_grid(trials=4, methods=("omp", "biht", "nbiht"), workers=workers)
         outcome = run_grid(grid)
         assert len(outcome.results) == 12
@@ -252,7 +258,7 @@ class TestSharedTrialInputs:
         def no_sampling(*args):
             raise AssertionError("first matrix sampled for rand")
 
-        monkeypatch.setattr(harness, "sample_gaussian_matrix", no_sampling)
+        monkeypatch.setattr(sensing, "sample_gaussian_matrix", no_sampling)
         outcome = run_grid(small_grid(trials=2, methods=("rand",)))
         assert outcome.failures == [] and len(outcome.results) == 2
 

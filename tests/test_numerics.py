@@ -9,11 +9,8 @@ from randcs.numerics import (
     DimensionMismatchError,
     GaussianSource,
     derive_seed,
-    matvec,
-    matvec_transposed,
     median,
     sample_gaussian_matrix,
-    squared_norm,
 )
 
 # Pinned output of the seeded source (numpy Philox + ziggurat).  If this
@@ -108,46 +105,6 @@ class TestSampleGaussianMatrix:
             sample_gaussian_matrix(GaussianSource(7), 2, 2, var)
 
 
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((3, 2)), np.array([5.0, -1.0])), np.zeros(3))
-
-    def test_hand_arithmetic(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(A, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matvec(np.eye(2), np.ones(3))
-
-
-class TestMatvecTransposed:
-    def test_identity(self):
-        assert np.array_equal(matvec_transposed(np.eye(2), np.array([5.0, 6.0])), [5.0, 6.0])
-
-    def test_hand_arithmetic(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec_transposed(A, np.array([1.0, 1.0])), [4.0, 6.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matvec_transposed(np.ones((3, 2)), np.ones(2))
-
-    def test_adjoint_identity(self):
-        rng = np.random.Generator(np.random.Philox(key=3))
-        for _ in range(50):
-            k, n = rng.integers(1, 20, size=2)
-            A = rng.standard_normal((k, n))
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(k)
-            lhs = matvec(A, x) @ y
-            rhs = x @ matvec_transposed(A, y)
-            assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
-
-
 class TestMedian:
     def test_singleton(self):
         assert median([42]) == 42.0
@@ -190,20 +147,6 @@ class TestMedian:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     def test_negation_antisymmetry(self, values):
         assert median([-v for v in values]) == -median(values)
-
-
-class TestSquaredNorm:
-    def test_zero(self):
-        assert squared_norm(np.zeros(7)) == 0.0
-
-    def test_pythagorean(self):
-        assert squared_norm(np.array([3.0, 4.0])) == 25.0
-
-    def test_unit_basis(self):
-        for dim in (1, 5, 100):
-            e = np.zeros(dim)
-            e[dim // 2] = 1.0
-            assert squared_norm(e) == 1.0
 
 
 def test_gaussian_sampler_large_sample_moments():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from randcs.numerics import GaussianSource, matvec, sample_gaussian_matrix
+from randcs.numerics import GaussianSource, sample_gaussian_matrix
 from randcs.recovery import (
     back_project,
     determine_support,
@@ -78,7 +78,7 @@ class TestBackProject:
         z = Signal.from_values([1.0, 0.0, -2.0, 0.5])
         meas = measure(ens, z, 0.0, "theory", 0)
         proj = back_project(ens, meas, range(4))
-        for row in proj.per_round:
+        for row in proj:
             assert np.array_equal(row, z.values)
 
     def test_lazy_blocks_match_eager(self):
@@ -93,9 +93,9 @@ class TestBackProject:
         z = generate_binary_signal(GaussianSource(8), cfg.n, cfg.s)
         meas = measure(seeded, z, 0.1, "experiment", 8)
         rounds = range(1, 8)
-        streamed = back_project(seeded, meas, rounds).per_round
-        assert np.array_equal(streamed, back_project(held, meas, rounds).per_round)
-        assert np.array_equal(streamed[:3], back_project(seeded, meas, range(1, 4)).per_round)
+        streamed = back_project(seeded, meas, rounds)
+        assert np.array_equal(streamed, back_project(held, meas, rounds))
+        assert np.array_equal(streamed[:3], back_project(seeded, meas, range(1, 4)))
 
     def test_empty_range_rejected(self):
         ens = identity_ensemble(3)
@@ -122,7 +122,7 @@ class TestBackProject:
                              noise_mode="theory", master_seed=31)
         ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 31)
-        V = back_project(ens, meas, range(rounds)).per_round
+        V = back_project(ens, meas, range(rounds))
         theta2 = z.values**2 / k + 5.0 / k + sw**2
         assert np.all(np.abs(V.mean(axis=0) - z.values) < 4.75 * np.sqrt(theta2 / rounds))
         assert np.all(np.abs(V.var(axis=0) - theta2) < 0.10 * theta2)
@@ -142,7 +142,7 @@ class TestRecoverBasic:
         z = generate_binary_signal(GaussianSource(4), 12, 2)
         meas = measure(ens, z, 0.1, "theory", 4)
         got = recover_basic(ens, meas)
-        expected = back_project(ens, meas, range(1)).per_round[0]
+        expected = back_project(ens, meas, range(1))[0]
         assert np.array_equal(got.values, expected)
 
     def test_zero_signal_noiseless_recovers_zero(self):
@@ -314,7 +314,7 @@ class TestDetermineSupport:
             z = generate_binary_signal(GaussianSource(seed), 25, 3)
             meas = measure(ens, z, 0.2, "experiment", seed)
             r0, k = cfg.r0, cfg.k
-            V = back_project(ens, meas, range(r0)).per_round
+            V = back_project(ens, meas, range(r0))
             floor = estimate_noise_floor(meas, range(r0, 2 * r0), k)
             medians = np.median(V, axis=0)
             counts = (np.abs(V) >= floor.threshold).sum(axis=0)
