@@ -22,6 +22,13 @@ _PIVOT_RTOL = 1e-12
 # column-norm block width: bounds the squared-entry temporary to about k * 256 doubles
 _NORM_BLOCK_COLS = 256
 
+# the support product copies A[:, S] and reads it twice; past an eighth of
+# the columns the dense product costs little more, and the copy stays far
+# below A's size
+_SUPPORT_PRODUCT_MAX_SHARE = 0.125
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = np.finfo(np.float64).tiny
+
 
 class RankDeficiencyError(RuntimeError):
     """The selected-column least-squares system is numerically singular."""
@@ -107,7 +114,8 @@ def omp_steps(
     ``s_budget`` selections or once ||residual|| <= residual_tol.
 
     Raises :class:`RankDeficiencyError` when a new column is numerically
-    dependent on the selected ones (pivot below 1e-12 of the first pivot).
+    dependent on the selected ones (pivot below 1e-12 of the first pivot),
+    and ``ValueError`` for a non-finite A or b.
     """
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
@@ -120,6 +128,8 @@ def omp_steps(
         raise ValueError(f"sparsity budget must lie in [0, min(k, n)], got {s_budget}")
 
     col_norms = _column_norms(A)
+    if not np.isfinite(col_norms).all():
+        raise ValueError("sensing matrix must be finite, with column norms below overflow")
     safe_norms = np.where(col_norms > 0, col_norms, np.inf)
     residual = b.astype(np.float64, copy=True)
     Q = np.empty((k, s_budget))
@@ -184,6 +194,31 @@ class IhtState:
     step_size: float
 
 
+def _sign_of_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # _sign_pm1(A @ x) for a finite A, from the columns of x's support when
+    # their sum certifies every sign.  Any evaluation of a dot product with
+    # nonzero terms T_j has error at most gamma_n * sum |T_j| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 3.1), so where
+    # |y_i| > 2 * gamma_n * (|A[:, S]| @ |x[S]|)_i the support sum, the exact
+    # product and the dense BLAS product, in whatever order and on however
+    # many threads it sums, all share one sign.  The factor 3 also covers the
+    # rounding of the bound itself, and n * tiny the underflow of all three.
+    # A row that is not certified (NaN included) falls back to the dense product.
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return np.full(A.shape[0], -1.0)
+    n = x.shape[0]
+    if support.size <= _SUPPORT_PRODUCT_MAX_SHARE * n:
+        cols = A[:, support]
+        xs = x[support]
+        y = cols @ xs
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        bound = 3.0 * gamma * (np.abs(cols, out=cols) @ np.abs(xs)) + n * _TINY
+        if (np.abs(y) > bound).all():
+            return _sign_pm1(y)
+    return _sign_pm1(A @ x)
+
+
 def iht_steps(
     A: np.ndarray,
     signs: np.ndarray,
@@ -198,26 +233,46 @@ def iht_steps(
     where sign uses the same zero-to-minus-one convention as the quantizer.
     With ``normalize=True`` the iterate is rescaled to unit norm after each
     thresholding (skipped while the iterate is zero).
+
+    Only the signs of A x enter the update, and x has at most ``s_budget``
+    nonzeros, so A x is summed over the support's columns alone, with a
+    floating-point error bound per row.  When every row's magnitude exceeds
+    its bound, those signs equal the signs of the exact and of the dense
+    product; otherwise (or when the support covers more than an eighth of
+    the columns) the dense A x is used, so every iterate is the one the
+    dense update gives.  The update is a fixed function of x: once an
+    iterate equals the previous one bit for bit, the remaining states
+    repeat it without further products.
+
+    ``step`` must be finite and positive, and A and ``signs`` finite;
+    anything else raises ``ValueError``.
     """
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
-    if not np.isfinite(step):
-        raise ValueError(f"step size must be finite, got {step}")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step size must be finite and positive, got {step}")
     if A.ndim != 2 or signs.ndim != 1 or A.shape[0] != signs.shape[0]:
         raise DimensionMismatchError(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
     if not np.isfinite(signs).all():
         raise ValueError("sign vector must be finite")
+    # min and max propagate NaN and hold any infinity, without an A-sized temporary
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
+        raise ValueError("sensing matrix must be finite")
     k = A.shape[0]
     x = np.zeros(A.shape[1])
+    fixed = False
     for it in range(1, max_iters + 1):
-        mismatch = signs - _sign_pm1(A @ x)
-        x = hard_threshold(x + (step / k) * (A.T @ mismatch), s_budget)
-        if normalize:
-            norm = np.linalg.norm(x)
-            if norm > 0:
-                x = x / norm
+        if not fixed:
+            mismatch = signs - _sign_of_product(A, x)
+            prev = x
+            x = hard_threshold(x + (step / k) * (A.T @ mismatch), s_budget)
+            if normalize:
+                norm = np.linalg.norm(x)
+                if norm > 0:
+                    x = x / norm
+            fixed = np.array_equal(x.view(np.uint64), prev.view(np.uint64))
         yield IhtState(iterate=x, iteration=it, step_size=step)
 
 

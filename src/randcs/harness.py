@@ -107,8 +107,8 @@ class ExperimentGrid:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if not np.isfinite(self.biht_step):
-            raise ValueError(f"biht_step must be finite, got {self.biht_step}")
+        if not (np.isfinite(self.biht_step) and self.biht_step > 0):
+            raise ValueError(f"biht_step must be finite and positive, got {self.biht_step}")
         for f in self.sparsity_fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"sparsity fractions must lie in (0, 1], got {f}")

@@ -130,6 +130,14 @@ class TestOmp:
         with pytest.raises(ValueError, match="finite"):
             omp(A, b, 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        A = sample_gaussian_matrix(GaussianSource(6), 10, 20, 0.1)
+        b = A[:, :2].sum(axis=1)
+        A[3, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            omp(A, b, 4)
+
     def test_duplicate_columns_raise_rank_deficiency(self):
         col = np.arange(1.0, 6.0)
         A = np.column_stack([col, 2 * col, np.ones(5)])
@@ -223,6 +231,25 @@ class TestBihtFamily:
             solver(A, signs, 4, step=math.nan)
 
     @pytest.mark.parametrize("solver", [biht, nbiht])
+    @pytest.mark.parametrize("step", [0.0, -0.0, -1.0])
+    def test_non_positive_step_rejected(self, solver, step):
+        # a zero step keeps the iterate at zero and used to empty the support
+        A, _, signs = self._instance()
+        with pytest.raises(ValueError, match="positive"):
+            solver(A, signs, 4, step=step)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_rejected(self, solver, bad):
+        # off the support a NaN column would change the dense signs but
+        # not the support product, so a non-finite matrix is refused
+        A, z, signs = self._instance()
+        A = A.copy()
+        A[5, min(set(range(A.shape[1])) - z.support)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solver(A, signs, 4)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
     def test_non_finite_signs_rejected(self, solver):
         A, _, signs = self._instance()
         signs = signs.copy()
@@ -253,3 +280,114 @@ class TestBihtFamily:
             rn.append(jaccard(nbiht(A, signs, 3).support, z.support))
         assert np.mean(rb) > 0.6
         assert abs(np.mean(rb) - np.mean(rn)) < 0.25
+
+
+def _dense_iht_steps(A, signs, s_budget, max_iters, step, normalize):
+    """The update with the dense sign product every iteration: the reference."""
+    k = A.shape[0]
+    x = np.zeros(A.shape[1])
+    for it in range(1, max_iters + 1):
+        mismatch = signs - np.where(A @ x > 0, 1.0, -1.0)
+        x = hard_threshold(x + (step / k) * (A.T @ mismatch), s_budget)
+        if normalize:
+            norm = np.linalg.norm(x)
+            if norm > 0:
+                x = x / norm
+        yield it, x
+
+
+def _counting_view(A):
+    """A view of A that logs the left operand of each matrix product.
+
+    A product with A itself is logged as "A" or "A.T", one with a copy of
+    some of its columns by that copy's shape.
+    """
+    log = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                left = inputs[0]
+                if not np.shares_memory(left, A):
+                    log.append(left.shape)
+                else:
+                    log.append("A" if left.shape == A.shape else "A.T")
+            inputs = tuple(np.asarray(v) for v in inputs)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(v) for v in kwargs["out"])
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return A.view(Counting), log
+
+
+class TestIhtSupportProduct:
+    """The support-column signs and the fixed-point exit leave every iterate as it was."""
+
+    _instance = TestBihtFamily._instance
+
+    def _assert_matches_dense(self, A, signs, s_budget, max_iters=100, step=1.0, normalize=False):
+        got = list(iht_steps(A, signs, s_budget, max_iters, step, normalize))
+        want = list(_dense_iht_steps(np.asarray(A), signs, s_budget, max_iters, step, normalize))
+        assert [st.iteration for st in got] == [it for it, _ in want]
+        for st, (_, x) in zip(got, want):
+            assert st.step_size == step
+            assert np.asarray(st.iterate).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_iterates_equal_dense_loop(self, normalize):
+        n, s = 1000, 10
+        k = math.ceil(2 * s * math.log(n))
+        for seed in range(500, 510):
+            src = GaussianSource(seed)
+            A = sample_gaussian_matrix(src.stream(1), k, n, 1.0 / k)
+            signs = sign_quantize(A, generate_binary_signal(src.stream(0), n, s))
+            self._assert_matches_dense(A, signs, s, normalize=normalize)
+
+    def test_uncertified_signs_fall_back_to_dense(self):
+        # columns 0 and 1 agree on the top rows and are opposite on the
+        # bottom ones, and the signs make the first step give both the same
+        # value, so A x is exactly zero on the bottom rows: no row-wise
+        # bound can certify a zero, and the dense product decides
+        k, n = 8, 16
+        A = 0.01 * sample_gaussian_matrix(GaussianSource(90), k, n, 1.0)
+        A[:, 0] = [1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0]
+        A[:, 1] = [1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]
+        signs = np.array([1.0] * 4 + [-1.0] * 4)
+        self._assert_matches_dense(A, signs, 2, max_iters=10)
+        view, log = _counting_view(A)
+        states = list(iht_steps(view, signs, 2, max_iters=10))
+        assert np.flatnonzero(states[0].iterate).tolist() == [0, 1]
+        # step 1 starts from zero (no sign product); step 2 tries the two
+        # support columns, falls back, and reaches the fixed point
+        assert log == ["A.T", (k, 2), "A", "A.T"]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_fixed_point_stops_the_products(self, normalize):
+        src = GaussianSource(88)
+        k, n, s = 200, 60, 3
+        A = sample_gaussian_matrix(src.stream(1), k, n, 1.0 / k)
+        signs = sign_quantize(A, generate_binary_signal(src.stream(0), n, s))
+        self._assert_matches_dense(A, signs, s, max_iters=60, normalize=normalize)
+        view, log = _counting_view(A)
+        states = list(iht_steps(view, signs, s, max_iters=60, normalize=normalize))
+        steps = log.count("A.T")
+        assert steps < 40
+        assert "A" not in log
+        assert [st.iteration for st in states] == list(range(1, 61))
+        assert np.array_equal(states[steps - 1].iterate, states[steps - 2].iterate)
+        assert all(st.iterate is states[steps - 1].iterate for st in states[steps:])
+
+    def test_all_negative_signs_cost_one_product(self):
+        A, _, _ = self._instance()
+        view, log = _counting_view(A)
+        states = list(iht_steps(view, -np.ones(A.shape[0]), 4, max_iters=20))
+        assert len(states) == 20
+        assert log == ["A.T"]
+
+    def test_full_budget_keeps_dense_product(self):
+        A, _, signs = self._instance()
+        n = A.shape[1]
+        self._assert_matches_dense(A, signs, n, max_iters=20)
+        view, log = _counting_view(A)
+        list(iht_steps(view, signs, n, max_iters=20))
+        assert set(log) == {"A", "A.T"}

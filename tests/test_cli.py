@@ -79,6 +79,13 @@ class TestBenchCommand:
         assert "k_override" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_biht_step_is_usage_error(self, tmp_path, capsys):
+        # a zero step used to empty every BIHT support without an error
+        args, out, _ = bench_args(tmp_path)
+        assert main(args + ["--biht-step", "0"]) == 1
+        assert "biht_step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -89,6 +89,8 @@ class TestExperimentGrid:
             dict(sigma_w=math.inf),
             dict(biht_step=math.nan),
             dict(biht_step=math.inf),
+            dict(biht_step=0.0),
+            dict(biht_step=-1.0),
             dict(biht_max_iters=0),
             dict(k_override=0),
             dict(r0_override=0),
