@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import DimensionMismatchError
 from .recovery import RecoveredSignal
-from .sensing import Signal
+from .sensing import Signal, _is_finite_matrix, _signal_product
 
 _PIVOT_RTOL = 1e-12
 
@@ -57,13 +57,23 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
 
 
 def sign_quantize(A: np.ndarray, z: Signal | np.ndarray) -> np.ndarray:
-    """One-bit measurements: +1 where a coordinate of A @ z is positive, else -1."""
+    """One-bit measurements: +1 where a coordinate of A z is positive, else -1.
+
+    A z is summed over the columns of supp(z) in ascending order, as
+    :func:`~randcs.sensing.measure` sums it, so the signs are those of the
+    noiseless round-0 measurement.  A non-finite A or z raises ``ValueError``,
+    since an inf or NaN off the support would otherwise go unseen.
+    """
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
     if A.ndim != 2 or zv.shape != (A.shape[1],):
         raise DimensionMismatchError(
             f"cannot multiply {A.shape} matrix by vector of dim {zv.shape}"
         )
-    return _sign_pm1(A @ zv)
+    if not np.isfinite(zv).all():
+        raise ValueError("signal must be finite")
+    if not _is_finite_matrix(A):
+        raise ValueError("sensing matrix must be finite")
+    return _sign_pm1(_signal_product(A, zv))
 
 
 def _sign_pm1(y: np.ndarray) -> np.ndarray:
@@ -257,8 +267,7 @@ def iht_steps(
         )
     if not np.isfinite(signs).all():
         raise ValueError("sign vector must be finite")
-    # min and max propagate NaN and hold any infinity, without an A-sized temporary
-    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
+    if not _is_finite_matrix(A):
         raise ValueError("sensing matrix must be finite")
     k = A.shape[0]
     x = np.zeros(A.shape[1])

@@ -224,8 +224,11 @@ def run_trial(
     for, the first sensing matrix is sampled once; the methods then run in
     ``grid.methods`` order on those inputs, so single-matrix methods
     consume the identical first matrix and measurement vector that the
-    ensemble method sees as round 0.  Each single-matrix row's
-    ``gen_time_s`` includes the seconds of that shared sampling.
+    ensemble method sees as round 0.  That vector is built by the same
+    support sum as :func:`~randcs.sensing.measure` builds it, with no BLAS
+    call, so it is bit for bit round 0 at every size and thread count.
+    Each single-matrix row's ``gen_time_s`` includes the seconds of that
+    shared sampling.
 
     Returns one row per method.  A method that raises gets a
     :class:`TrialFailure` row and the others still run; an error in the

@@ -113,9 +113,9 @@ def recover_suppressed(
     for all-zero measurements, suppresses nothing.
     """
     r0 = ensemble.r0
-    base = recover_basic(ensemble, measurements, r0)
+    medians = median(back_project(ensemble, measurements, range(r0)), axis=0)
     floor = estimate_noise_floor(measurements, range(r0, 2 * r0), ensemble.k)
-    values = np.where(np.abs(base.values) < floor.threshold, 0.0, base.values)
+    values = np.where(np.abs(medians) < floor.threshold, 0.0, medians)
     support = frozenset(int(i) for i in np.flatnonzero(values))
     return RecoveredSignal(values=values, support=support, method="suppressed")
 

@@ -12,10 +12,15 @@ matrix, noise vector, or signal is reproducible in isolation:
 
 A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
 it is one pass over its rounds: each thread of one process-wide pool of
-``os.cpu_count()`` threads samples a round's matrix into its own reused
-buffer and uses it at once, so a pass holds at most ``os.cpu_count()``
-matrices and samples each round once.  Because every round has its own
-stream, the values do not depend on the thread count.
+``os.cpu_count()`` threads samples a round's matrix into a buffer the pass
+owns and uses it at once, so a pass holds at most ``os.cpu_count()``
+matrices, samples each round once and frees its buffers when it returns.
+Because every round has its own stream, the values do not depend on the
+thread count.
+
+A measurement A z sums z_i * A[:, i] over the signal's support alone, one
+term at a time in ascending i and without BLAS, so b[r] is the same bit for
+bit for a seeded and a stored ensemble, at any thread count.
 """
 
 from __future__ import annotations
@@ -44,8 +49,11 @@ _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
 
+# support rows summed per block by _signal_product: bounds its temporary to
+# this many rows of k doubles, whatever the support size
+_PRODUCT_BLOCK_ROWS = 256
+
 _sampling_pool: ThreadPoolExecutor | None = None
-_sampling_thread_buffers = threading.local()  # each pool thread's buffer, kept between passes
 # guards the pool's creation and the count of seeded passes that hold OpenBLAS at one thread
 _sampling_lock = threading.Lock()
 _pinning_passes = 0
@@ -199,19 +207,19 @@ class LazyMatrices(Sequence):
         return sample_gaussian_matrix(self._source.stream(r + 1), self._k, self._n, 1.0 / self._k)
 
 
-def _sampled(matrices: LazyMatrices, r: int) -> np.ndarray:
-    """Matrix r as ``matrices[r]`` draws it, in this thread's reused (n, k) buffer.
+def _sampled(matrices: LazyMatrices, r: int, cols: np.ndarray) -> np.ndarray:
+    """Matrix r as ``matrices[r]`` draws it, written into the (n, k) buffer ``cols``.
 
-    Returns the (k, n) view, which holds until the thread samples again.
+    Returns the (k, n) view, which holds until ``cols`` is written again.
     """
-    shape, buffers = (matrices._n, matrices._k), _sampling_thread_buffers
-    if getattr(buffers, "cols", None) is None or buffers.cols.shape != shape:
-        buffers.cols = None  # release the old buffer before allocating the new one
-        buffers.cols = np.empty(shape)
-    cols = buffers.cols
     matrices._source.stream(r + 1).generator().standard_normal(out=cols)
     cols *= np.sqrt(1.0 / matrices._k)
     return cols.T
+
+
+def _is_finite_matrix(A: np.ndarray) -> bool:
+    # min and max propagate NaN and hold any infinity, without an A-sized temporary
+    return A.size == 0 or bool(np.isfinite(A.min()) and np.isfinite(A.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +244,12 @@ class SensingEnsemble:
                 f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, "
                 f"got {len(self.matrices)}"
             )
+        # a measurement sums only the signal's support columns, so an inf or
+        # NaN elsewhere would never show in b; refuse it here instead
+        if not isinstance(self.matrices, LazyMatrices):
+            for r, A in enumerate(self.matrices):
+                if not _is_finite_matrix(A):
+                    raise ValueError(f"sensing matrix {r} has a non-finite entry")
 
 
 def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
@@ -256,8 +270,10 @@ def _each_round(
     """Call ``work(r, A)`` with the matrix A of each round r: one pass over the rounds.
 
     A stored ensemble is visited in order on the caller's thread.  A seeded
-    one's rounds run on the shared pool, each sampled into its thread's
-    reused buffer, so ``work`` must be done with A when it returns.
+    one's rounds run on the shared pool, each sampled into a buffer of this
+    pass that the next round may reuse, so ``work`` must be done with A when
+    it returns.  The pass keeps at most one buffer per pool thread and drops
+    them all when it returns.
 
     Meanwhile numpy's OpenBLAS, if bundled, is held at one thread: the pool
     keeps every core busy, and OpenBLAS threads woken by a threaded product
@@ -281,24 +297,68 @@ def _each_round(
             _blas_threads_before = blas[0]()
             blas[1](1)
         _pinning_passes += 1
+    # buffers free for this pass's next round; list.append and list.pop
+    # are atomic, so each buffer serves one round at a time
+    free: list[np.ndarray] = []
+
+    def sample_and_work(r: int) -> None:
+        try:
+            cols = free.pop()
+        except IndexError:
+            cols = np.empty((matrices._n, matrices._k))
+        try:
+            work(r, _sampled(matrices, r, cols))
+        finally:
+            free.append(cols)
+
     try:
         # reading every result raises the first error of any round here
-        for _ in pool.map(lambda r: work(r, _sampled(matrices, r)), rounds):
+        for _ in pool.map(sample_and_work, rounds):
             pass
     finally:
+        # a pool thread may hold this pass's closure a moment after its last
+        # round; the buffers go now all the same
+        free.clear()
         with _sampling_lock:
             _pinning_passes -= 1
             if blas is not None and _pinning_passes == 0:
                 blas[1](_blas_threads_before)
 
 
+def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z as the sum of z_i * A[:, i] over i in supp(z), one term at a time in ascending i.
+
+    No BLAS call is made, so the bits do not depend on A's memory layout or
+    on the BLAS thread count; an empty support gives zeros(k).
+    """
+    out = np.zeros(A.shape[0])
+    support = np.flatnonzero(z)
+    for start in range(0, support.size, _PRODUCT_BLOCK_ROWS):
+        idx = support[start : start + _PRODUCT_BLOCK_ROWS]
+        # C-order (len(idx), k) for a row- and a column-major A alike
+        rows = A.T[idx] * z[idx, None]
+        # the running sum enters as the first term, so the order stays ascending
+        rows[0] += out
+        if out.size == 1:
+            # a reduce along a single column would sum pairwise, not in order
+            np.add.accumulate(rows, axis=0, out=rows)
+            out = rows[-1].copy()
+        else:
+            # row by row: each row is added in full to the sum of those before it
+            out = np.add.reduce(rows, axis=0)
+    return out
+
+
 def _measure_round(
     A: np.ndarray, z: np.ndarray, r: int, r0: int, sigma_w: float, noise_mode: str, noise_seed: int
 ) -> np.ndarray:
-    """b[r] = A @ z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``."""
+    """b[r] = A z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``.
+
+    A z is :func:`_signal_product`, summed over the columns of supp(z).
+    """
     k = A.shape[0]
     noise_sd = sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
-    b = A @ z
+    b = _signal_product(A, z)
     if noise_sd > 0:
         noise = GaussianSource(noise_seed).stream(2 * r0 + r + 1).generator().standard_normal(k)
         b = b + noise_sd * noise
@@ -345,9 +405,11 @@ def measure(
     """Take the 2*r0 noisy measurements of a finite signal through an ensemble.
 
     Per-coordinate noise variance is sigma_w**2 in theory mode and
-    sigma_w**2 / k in experiment mode; sigma_w = 0 gives exact noiseless
+    sigma_w**2 / k in experiment mode; sigma_w = 0 gives noiseless
     products.  Noise vector r comes from stream 2*r0 + r + 1 of
-    ``noise_seed``.
+    ``noise_seed``.  Each product A[r] z sums z_i * A[r][:, i] over the
+    nonzero z_i in ascending i, without BLAS, so b[r] is the same bit for
+    bit whether the ensemble is seeded or stored and at any thread count.
 
     The pass also back-projects rounds [0, r0), v[r] = A[r]^T b[r], while
     each matrix is at hand, and keeps them for the recovery routines, so no
@@ -456,10 +518,10 @@ def load_ensemble(path) -> SensingEnsemble:
     if payload.size != expected:
         raise ValueError(f"{path}: expected {expected} matrix entries, found {payload.size}")
     matrices = tuple(payload.reshape(2 * r0, k, n))
-    # one matrix at a time, so the check allocates no payload-sized mask
-    if not all(np.isfinite(A).all() for A in matrices):
-        raise ValueError(f"{path}: ensemble has a non-finite entry")
-    return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
+    try:
+        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_measurements(measurements: MeasurementEnsemble, path) -> None:

@@ -81,6 +81,25 @@ class TestSignQuantize:
         with pytest.raises(DimensionMismatchError):
             sign_quantize(np.eye(2), np.ones(3))
 
+    def test_integer_matrix(self):
+        A = np.array([[1, 0], [0, -1], [2, -1]])
+        assert np.array_equal(sign_quantize(A, np.array([1.0, 2.0])), [1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # the bad matrix entry sits off the signal's support, where the
+        # support sum would never read it
+        A = np.ones((3, 4))
+        z = np.array([1.0, 0.0, 0.0, 0.0])
+        bad_A = A.copy()
+        bad_A[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sign_quantize(bad_A, z)
+        bad_z = z.copy()
+        bad_z[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sign_quantize(A, bad_z)
+
 
 class TestOmp:
     @pytest.mark.parametrize("k, n", [(1438, 700), (1000, 257), (3, 2)])

@@ -138,6 +138,31 @@ class TestRunTrial:
         ).generator().standard_normal(cfg.k)
         assert np.array_equal(b1, meas.vectors[0])
 
+    def test_omp_measurement_is_round_zero_at_threaded_size(self, monkeypatch):
+        # at k = 609, n = 2000 a dense BLAS product runs threaded and, at
+        # one time, differed in a few last bits from round 0 of measure's
+        # pass, which runs on one BLAS thread; the support sum fixes both
+        grid = small_grid(n_values=(2000,), methods=("omp",), trials=4)
+        n, s = 2000, 40
+        consumed = []
+        real_omp = harness.omp
+
+        def recording_omp(A, b, s_budget):
+            consumed.append(b)
+            return real_omp(A, b, s_budget)
+
+        monkeypatch.setattr(harness, "omp", recording_omp)
+        for trial in range(4):
+            consumed.clear()
+            assert not isinstance(run_trial(grid, n, s, trial)[0], harness.TrialFailure)
+            cfg = trial_config(grid, n, s, trial)
+            assert cfg.k == 609
+            signal = generate_binary_signal(cfg.master_seed, n, s)
+            meas = measure(build_ensemble(cfg), signal, grid.sigma_w, grid.noise_mode,
+                           cfg.master_seed)
+            assert len(consumed) == 1
+            assert np.array_equal(consumed[0], meas.vectors[0])
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_trial(small_grid(methods=("lasso",)), 128, 3, 0)

@@ -235,6 +235,15 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError):
             SensingEnsemble(n=4, k=2, r0=2, master_seed=0, matrices=(np.zeros((2, 4)),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stored_matrix_rejected(self, bad):
+        # the entry sits in a column no binary signal below would reach:
+        # a support sum would skip it, so construction must refuse it
+        matrices = [np.ones((2, 4)) for _ in range(4)]
+        matrices[3][1, 2] = bad
+        with pytest.raises(ValueError, match="matrix 3 has a non-finite entry"):
+            SensingEnsemble(n=4, k=2, r0=2, master_seed=0, matrices=tuple(matrices))
+
 
 class TestMeasure:
     def test_zero_signal_zero_noise_gives_zero(self):
@@ -319,6 +328,14 @@ def _unkept(meas):
     )
 
 
+def _support_sum(A, z):
+    """A z by its definition: z_i * A[:, i] added in ascending i over the nonzero z_i."""
+    out = np.zeros(A.shape[0])
+    for i in np.flatnonzero(z):
+        out += z[i] * A[:, i]
+    return out
+
+
 def _blas_threads():
     blas = sensing._openblas_threads()
     if blas is None:
@@ -330,11 +347,12 @@ class TestPass:
     """One pass over the rounds: measure, back-project and dump share it."""
 
     def test_seeded_and_stored_ensembles(self, tmp_path):
-        # each storage form against its own rounds replayed with the same
-        # numpy calls, bit for bit; the two forms reach the same support
-        # but not always the same last bit, since a stored matrix is
-        # row-major and a sampled one column-major, and BLAS sums the two
-        # layouts in different orders
+        # each storage form against its own rounds replayed by definition,
+        # bit for bit.  The measurement vectors of the two forms are equal,
+        # since A z is the support sum in one fixed order; the
+        # back-projections reach the same support but not always the same
+        # last bit, since a stored matrix is row-major and a sampled one
+        # column-major, and BLAS sums the two layouts in different orders
         cfg = RecoveryConfig(n=40, s=3, k=24, r0=4, master_seed=61)
         seeded = build_ensemble(cfg)
         stored = _dumped(seeded, tmp_path)
@@ -348,14 +366,16 @@ class TestPass:
                 assert np.array_equal(ens.matrices[r], A)
                 A = ens.matrices[r]
                 noise = GaussianSource(61).stream(8 + r + 1).generator().standard_normal(24)
-                assert np.array_equal(meas.vectors[r], A @ z.values + 0.1 / math.sqrt(24) * noise)
+                expected = _support_sum(A, z.values) + 0.1 / math.sqrt(24) * noise
+                assert np.array_equal(meas.vectors[r], expected)
                 assert np.array_equal(projected[r], A.T @ meas.vectors[r])
             kept = back_project(ens, meas, range(4))
             assert np.array_equal(kept, projected[:4])
             values = recover_suppressed(ens, meas).values
             assert np.array_equal(values, recover_suppressed(ens, _unkept(meas)).values)
             results.append((meas.vectors, projected, values))
-        for a, b in zip(*results):
+        assert np.array_equal(results[0][0], results[1][0])
+        for a, b in zip(results[0][1:], results[1][1:]):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
         assert np.array_equal(results[0][2] != 0, results[1][2] != 0)
 
@@ -368,19 +388,19 @@ class TestPass:
         seen = []
         real_sampled = sensing._sampled
 
-        def recording_sampled(matrices, r):
+        def recording_sampled(matrices, r, cols):
             seen.append(get())
-            return real_sampled(matrices, r)
+            return real_sampled(matrices, r, cols)
 
         monkeypatch.setattr(sensing, "_sampled", recording_sampled)
         measure(ens, z, 0.1, "experiment", 5)
         assert seen == [1] * 8
         assert get() == before
 
-        def failing_sampled(matrices, r):
+        def failing_sampled(matrices, r, cols):
             if r == 2:
                 raise RuntimeError("synthetic sampling failure")
-            return real_sampled(matrices, r)
+            return real_sampled(matrices, r, cols)
 
         monkeypatch.setattr(sensing, "_sampled", failing_sampled)
         with pytest.raises(RuntimeError, match="synthetic"):
@@ -403,8 +423,9 @@ class TestPass:
         assert get() == before
 
     def test_peak_memory_independent_of_round_count(self, monkeypatch):
-        # one sampling thread, its buffer already allocated: the peak of a
-        # trial's sensing grows with the rounds by far less than a matrix
+        # one sampling thread, so each pass allocates one buffer and reuses
+        # it for every round: the peak of a trial's sensing grows with the
+        # rounds by far less than a matrix
         n, k = 300, 100
         pool = ThreadPoolExecutor(max_workers=1)
         monkeypatch.setattr(sensing, "_sampling_pool", pool)
@@ -426,6 +447,22 @@ class TestPass:
             pool.shutdown()
         assert abs(large - small) < 8 * n * k
 
+    def test_no_buffer_outlives_the_pass(self):
+        # a shape no other test samples, so that every buffer of these
+        # passes is allocated while tracing; after each pass returns, less
+        # than one matrix is still allocated
+        n, k = 311, 97
+        z = generate_binary_signal(9, n, 3)
+        tracemalloc.start()
+        try:
+            ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=4, master_seed=9))
+            meas = measure(ens, z, 0.1, "experiment", 9)
+            assert tracemalloc.get_traced_memory()[0] < 8 * n * k
+            back_project(ens, _unkept(meas), range(8))
+            assert tracemalloc.get_traced_memory()[0] < 8 * n * k
+        finally:
+            tracemalloc.stop()
+
     def test_non_finite_signal_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("a matrix was sampled")
@@ -440,6 +477,45 @@ class TestPass:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     measure(ens, z, 0.1, "experiment", 1)
+
+
+class TestSignalProduct:
+    """A z summed over supp(z)'s columns in ascending order, against the explicit loop."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 57])
+    def test_equals_ascending_loop(self, k):
+        # both layouts, supports of up to two blocks, entries spanning nine
+        # decades so that any other order shows in the last bits
+        rng = np.random.default_rng(k)
+        for n in (1, 2, 9, 200, 300, 700, 1100):
+            A = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-4, 5, size=n)
+            z = np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0)
+            for M in (A, np.asfortranarray(A)):
+                got = sensing._signal_product(M, z)
+                assert got.tobytes() == _support_sum(M, z).tobytes()
+
+    def test_empty_support_gives_zeros(self):
+        got = sensing._signal_product(np.ones((3, 5)), np.zeros(5))
+        assert got.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_measure_seeded_and_stored_at_blas_threads(self, tmp_path, threads):
+        # k * n is far above the size at which OpenBLAS threads a product
+        before = _blas_threads()
+        set_threads = sensing._openblas_threads()[1]
+        cfg = RecoveryConfig(n=2000, s=40, k=120, r0=2, master_seed=17)
+        seeded = build_ensemble(cfg)
+        stored = _dumped(seeded, tmp_path)
+        z = np.zeros(2000)
+        z[generate_binary_signal(17, 2000, 40).values > 0] = np.linspace(-2.0, 3.0, 40)
+        set_threads(threads)
+        try:
+            for ens in (seeded, stored):
+                meas = measure(ens, z, 0.0, "theory", 17)
+                for r in range(4):
+                    assert np.array_equal(meas.vectors[r], _support_sum(ens.matrices[r], z))
+        finally:
+            set_threads(before)
 
 
 def _fixed_test_signal(n=50, s=5):
