@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -42,24 +43,6 @@ from .sensing import (
 METHODS = ("rand", "omp", "biht", "nbiht")
 
 FAILURE_RATE_LIMIT = 0.1
-
-CSV_COLUMNS = (
-    "method",
-    "n",
-    "s",
-    "k",
-    "r0",
-    "trial",
-    "seed",
-    "R",
-    "wall_time_s",
-    "pred_size",
-    "true_size",
-    "inter_size",
-    "gen_time_s",
-)
-
-SUMMARY_COLUMNS = ("method", "n", "s", "mean_R", "var_R", "mean_time_s", "speedup_vs_rand")
 
 
 def jaccard(pred: Iterable[int], true: Iterable[int]) -> float:
@@ -165,6 +148,11 @@ class SummaryRow:
     speedup_vs_rand: float | None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TrialResult))
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+
 def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryConfig:
     """The recovery configuration a given trial runs under (seed included)."""
     return RecoveryConfig(
@@ -197,21 +185,17 @@ def _run_method(
     if method == "rand":
         ensemble = build_ensemble(config)
         measurements = measure(ensemble, signal, grid.sigma_w, grid.noise_mode, seed)
-        gen_time = time.perf_counter() - t_gen
-        t_run = time.perf_counter()
-        predicted = determine_support(ensemble, measurements)
+        solve = lambda: determine_support(ensemble, measurements)
     elif method == "omp":
         b1 = _measure_round(A1, signal.values, 0, config.r0, grid.sigma_w, grid.noise_mode, seed)
-        gen_time = time.perf_counter() - t_gen
-        t_run = time.perf_counter()
-        predicted = omp(A1, b1, config.s).support
+        solve = lambda: omp(A1, b1, config.s).support
     else:
         signs = sign_quantize(A1, signal)
-        gen_time = time.perf_counter() - t_gen
         solver = biht if method == "biht" else nbiht
-        t_run = time.perf_counter()
-        predicted = solver(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
-    return predicted, gen_time, time.perf_counter() - t_run
+        solve = lambda: solver(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
+    t_run = time.perf_counter()
+    predicted = solve()
+    return predicted, t_run - t_gen, time.perf_counter() - t_run
 
 
 def run_trial(
@@ -285,16 +269,9 @@ class GridOutcome:
 
     def failure_rates(self) -> dict[tuple[str, int, int], float]:
         """Failed-trial fraction per (method, n, s) cell, counting failures only."""
-        counts: dict[tuple[str, int, int], int] = {}
-        for f in self.failures:
-            counts[(f.method, f.n, f.s)] = counts.get((f.method, f.n, f.s), 0) + 1
-        totals: dict[tuple[str, int, int], int] = {}
-        for r in self.results:
-            totals[(r.method, r.n, r.s)] = totals.get((r.method, r.n, r.s), 0) + 1
-        return {
-            key: cnt / (cnt + totals.get(key, 0))
-            for key, cnt in counts.items()
-        }
+        failed = Counter((f.method, f.n, f.s) for f in self.failures)
+        done = Counter((r.method, r.n, r.s) for r in self.results)
+        return {key: count / (count + done[key]) for key, count in failed.items()}
 
     def has_excess_failures(self, limit: float = FAILURE_RATE_LIMIT) -> bool:
         return any(rate > limit for rate in self.failure_rates().values())
@@ -346,14 +323,10 @@ def summarize(results: Sequence[TrialResult]) -> list[SummaryRow]:
     speedup column is mean_time(method) / mean_time(rand) for the same
     (n, s); values above one mean the ensemble method was faster.
     """
+    # dicts keep insertion order, so the rows come in first-seen order
     groups: dict[tuple[str, int, int], list[TrialResult]] = {}
-    order: list[tuple[str, int, int]] = []
     for r in results:
-        key = (r.method, r.n, r.s)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.method, r.n, r.s), []).append(r)
 
     rand_time: dict[tuple[int, int], float] = {
         (n, s): float(np.mean([r.wall_time_s for r in rs]))
@@ -362,8 +335,7 @@ def summarize(results: Sequence[TrialResult]) -> list[SummaryRow]:
     }
 
     rows = []
-    for method, n, s in order:
-        rs = groups[(method, n, s)]
+    for (method, n, s), rs in groups.items():
         accs = np.array([r.R for r in rs])
         mean_time = float(np.mean([r.wall_time_s for r in rs]))
         base = rand_time.get((n, s))

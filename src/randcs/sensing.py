@@ -13,10 +13,11 @@ matrix, noise vector, or signal is reproducible in isolation:
 A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
 it is one pass over its rounds: each thread of one process-wide pool of
 ``os.cpu_count()`` threads samples a round's matrix into a buffer the pass
-owns and uses it at once, so a pass holds at most ``os.cpu_count()``
-matrices, samples each round once and frees its buffers when it returns.
-Because every round has its own stream, the values do not depend on the
-thread count.
+owns and uses it at once.  A pass samples each round once and frees its
+buffers when it returns, and seeded passes run one at a time, so the
+process holds at most ``os.cpu_count()`` matrices however many threads
+call in.  Because every round has its own stream, and OpenBLAS is held at
+one thread during a pass, the values do not depend on the thread count.
 
 A measurement A z sums z_i * A[:, i] over the signal's support alone, one
 term at a time in ascending i and without BLAS, so b[r] is the same bit for
@@ -54,10 +55,8 @@ _HEADER = struct.Struct("<4sQQQQ")
 _PRODUCT_BLOCK_ROWS = 256
 
 _sampling_pool: ThreadPoolExecutor | None = None
-# guards the pool's creation and the count of seeded passes that hold OpenBLAS at one thread
-_sampling_lock = threading.Lock()
-_pinning_passes = 0
-_blas_threads_before = 0
+# held for the whole of a seeded pass, so passes run one at a time
+_pass_lock = threading.Lock()
 
 
 @functools.cache
@@ -275,28 +274,21 @@ def _each_round(
     it returns.  The pass keeps at most one buffer per pool thread and drops
     them all when it returns.
 
-    Meanwhile numpy's OpenBLAS, if bundled, is held at one thread: the pool
-    keeps every core busy, and OpenBLAS threads woken by a threaded product
-    would spin on those cores after it.  The setting is process-wide; the
-    last pass to end, by returning or raising, restores the old count.
+    Seeded passes run one at a time, whatever the number of calling
+    threads, so the process holds at most one buffer per core.  For the
+    whole pass numpy's OpenBLAS, if bundled, is held at one thread: the pool
+    keeps every core busy, OpenBLAS threads woken by a threaded product
+    would spin on those cores after it, and a threaded A^T b can change in
+    the last bit with the thread count.  The pass restores the old count
+    when it returns or raises.
     """
-    global _sampling_pool, _pinning_passes, _blas_threads_before
+    global _sampling_pool
     matrices = ensemble.matrices
     if not isinstance(matrices, LazyMatrices):
         for r in rounds:
             work(r, matrices[r])
         return
     blas = _openblas_threads()
-    with _sampling_lock:
-        if _sampling_pool is None:
-            _sampling_pool = ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
-            )
-        pool = _sampling_pool
-        if blas is not None and _pinning_passes == 0:
-            _blas_threads_before = blas[0]()
-            blas[1](1)
-        _pinning_passes += 1
     # buffers free for this pass's next round; list.append and list.pop
     # are atomic, so each buffer serves one round at a time
     free: list[np.ndarray] = []
@@ -311,18 +303,24 @@ def _each_round(
         finally:
             free.append(cols)
 
-    try:
-        # reading every result raises the first error of any round here
-        for _ in pool.map(sample_and_work, rounds):
-            pass
-    finally:
-        # a pool thread may hold this pass's closure a moment after its last
-        # round; the buffers go now all the same
-        free.clear()
-        with _sampling_lock:
-            _pinning_passes -= 1
-            if blas is not None and _pinning_passes == 0:
-                blas[1](_blas_threads_before)
+    with _pass_lock:
+        if _sampling_pool is None:
+            _sampling_pool = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
+            )
+        if blas is not None:
+            threads_before = blas[0]()
+            blas[1](1)
+        try:
+            # reading every result raises the first error of any round here
+            for _ in _sampling_pool.map(sample_and_work, rounds):
+                pass
+        finally:
+            # a pool thread may hold this pass's closure a moment after its
+            # last round; the buffers go now all the same
+            free.clear()
+            if blas is not None:
+                blas[1](threads_before)
 
 
 def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
