@@ -33,8 +33,9 @@ from .sensing import (
     NOISE_MODES,
     RecoveryConfig,
     Signal,
+    _add_noise,
     _check_noise_level,
-    _measure_round,
+    _signal_product,
     build_ensemble,
     generate_binary_signal,
     measure,
@@ -166,6 +167,31 @@ def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryCo
     )
 
 
+def _rand_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+    ensemble = build_ensemble(config)
+    return ensemble, measure(ensemble, signal, grid.sigma_w, grid.noise_mode, config.master_seed)
+
+
+def _omp_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+    Az = _signal_product(A1, signal.values)
+    b1 = _add_noise(Az, 0, config.r0, grid.sigma_w, grid.noise_mode, config.master_seed)
+    return A1, b1, config.s
+
+
+def _sign_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+    return A1, sign_quantize(A1, signal), config.s, grid.biht_max_iters, grid.biht_step
+
+
+# per method: (prepare, solve); prepare(grid, config, signal, A1) builds the
+# inputs, and solve(*inputs), the recovery alone, returns the support
+_DISPATCH = {
+    "rand": (_rand_inputs, determine_support),
+    "omp": (_omp_inputs, lambda *inputs: omp(*inputs).support),
+    "biht": (_sign_inputs, lambda *inputs: biht(*inputs).support),
+    "nbiht": (_sign_inputs, lambda *inputs: nbiht(*inputs).support),
+}
+
+
 def _run_method(
     grid: ExperimentGrid,
     config: RecoveryConfig,
@@ -180,21 +206,11 @@ def _run_method(
     the ``rand`` ensemble above all, is local to this call, so it is freed
     before the next method runs.
     """
-    seed = config.master_seed
+    prepare, solve = _DISPATCH[method]
     t_gen = time.perf_counter()
-    if method == "rand":
-        ensemble = build_ensemble(config)
-        measurements = measure(ensemble, signal, grid.sigma_w, grid.noise_mode, seed)
-        solve = lambda: determine_support(ensemble, measurements)
-    elif method == "omp":
-        b1 = _measure_round(A1, signal.values, 0, config.r0, grid.sigma_w, grid.noise_mode, seed)
-        solve = lambda: omp(A1, b1, config.s).support
-    else:
-        signs = sign_quantize(A1, signal)
-        solver = biht if method == "biht" else nbiht
-        solve = lambda: solver(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
+    inputs = prepare(grid, config, signal, A1)
     t_run = time.perf_counter()
-    predicted = solve()
+    predicted = solve(*inputs)
     return predicted, t_run - t_gen, time.perf_counter() - t_run
 
 

@@ -11,13 +11,18 @@ matrix, noise vector, or signal is reproducible in isolation:
 * stream 2*r0 + r + 1             -- noise vector r
 
 A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
-it is one pass over its rounds: each thread of one process-wide pool of
-``os.cpu_count()`` threads samples a round's matrix into a buffer the pass
-owns and uses it at once.  A pass samples each round once and frees its
-buffers when it returns, and seeded passes run one at a time, so the
-process holds at most ``os.cpu_count()`` matrices however many threads
-call in.  Because every round has its own stream, and OpenBLAS is held at
-one thread during a pass, the values do not depend on the thread count.
+it is one pass over its rounds on one process-wide pool of
+``os.cpu_count()`` threads.  A round that needs its whole matrix runs in a
+lane, a pool thread that owns one (n, k) buffer for the pass, samples the
+round into it and uses it at once.  Rounds [r0, 2*r0) of a measurement feed
+only the noise floor, so they are streamed: drawn a block of columns at a
+time, their support columns summed into A z as they pass, and never held
+whole.  A pass samples each round once, keeps ceil(P/2) lanes on a pool of
+P threads when it streams and P when it does not, and frees its buffers
+when it returns; seeded passes run one at a time, so the process holds at
+most one matrix per lane however many threads call in.  Because every
+round has its own stream, and OpenBLAS is held at one thread during a
+pass, the values do not depend on the thread count.
 
 A measurement A z sums z_i * A[:, i] over the signal's support alone, one
 term at a time in ascending i and without BLAS, so b[r] is the same bit for
@@ -33,8 +38,9 @@ import os
 import struct
 import threading
 import weakref
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +59,9 @@ _HEADER = struct.Struct("<4sQQQQ")
 # support rows summed per block by _signal_product: bounds its temporary to
 # this many rows of k doubles, whatever the support size
 _PRODUCT_BLOCK_ROWS = 256
+# columns of A drawn per block by a streamed round: bounds its block to
+# this many rows of k doubles, whatever the support
+_STREAM_BLOCK_ROWS = 256
 
 _sampling_pool: ThreadPoolExecutor | None = None
 # held for the whole of a seeded pass, so passes run one at a time
@@ -206,14 +215,22 @@ class LazyMatrices(Sequence):
         return sample_gaussian_matrix(self._source.stream(r + 1), self._k, self._n, 1.0 / self._k)
 
 
-def _sampled(matrices: LazyMatrices, r: int, cols: np.ndarray) -> np.ndarray:
-    """Matrix r as ``matrices[r]`` draws it, written into the (n, k) buffer ``cols``.
+def _sampled(matrices: LazyMatrices, r: int, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Matrix r's (n, k) sampling buffer as ``matrices[r]`` draws it, ``len(cols)`` rows at a time.
 
-    Returns the (k, n) view, which holds until ``cols`` is written again.
+    Each step draws the next rows of the buffer into ``cols`` (into its
+    first rows at the end), scales them and yields them; row i of the
+    buffer is column i of matrix r.  An (n, k) ``cols`` comes in one step,
+    whose ``.T`` is the (k, n) matrix.  A block holds until ``cols`` is
+    written again, and nothing more is drawn once the caller stops.
     """
-    matrices._source.stream(r + 1).generator().standard_normal(out=cols)
-    cols *= np.sqrt(1.0 / matrices._k)
-    return cols.T
+    generator = matrices._source.stream(r + 1).generator()
+    scale = np.sqrt(1.0 / matrices._k)
+    for start in range(0, matrices._n, len(cols)):
+        block = cols[: matrices._n - start]
+        generator.standard_normal(out=block)
+        block *= scale
+        yield block
 
 
 def _is_finite_matrix(A: np.ndarray) -> bool:
@@ -264,63 +281,111 @@ def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
 
 
 def _each_round(
-    ensemble: SensingEnsemble, rounds: Iterable[int], work: Callable[[int, np.ndarray], None]
+    ensemble: SensingEnsemble,
+    rounds: Iterable[int],
+    work: Callable[[int, np.ndarray], None],
+    z: np.ndarray | None = None,
+    streamed: Iterable[int] = (),
+    take: Callable[[int, np.ndarray], None] | None = None,
 ) -> None:
-    """Call ``work(r, A)`` with the matrix A of each round r: one pass over the rounds.
+    """One pass: ``work(r, A)`` for each full round, ``take(r, A z)`` for each streamed round.
 
     A stored ensemble is visited in order on the caller's thread.  A seeded
-    one's rounds run on the shared pool, each sampled into a buffer of this
-    pass that the next round may reuse, so ``work`` must be done with A when
-    it returns.  The pass keeps at most one buffer per pool thread and drops
-    them all when it returns.
+    one runs on the P threads of the shared pool.  Its full rounds run in
+    lanes, each owning one (n, k) buffer for the whole pass, so ``work``
+    must be done with A when it returns: ceil(P/2) lanes when the pass
+    streams, P lanes when it does not, and a lane that runs out of full
+    rounds streams.  A streamed round draws its matrix ``_STREAM_BLOCK_ROWS``
+    columns at a time into a small block (a lane's buffer lends its first
+    rows), adds the support's columns to A z as they pass and stops after
+    the block that holds max(supp(z)); with an empty support it draws
+    nothing.  So a pass holds at most one buffer per lane, and drops them
+    all when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
-    threads, so the process holds at most one buffer per core.  For the
-    whole pass numpy's OpenBLAS, if bundled, is held at one thread: the pool
-    keeps every core busy, OpenBLAS threads woken by a threaded product
-    would spin on those cores after it, and a threaded A^T b can change in
-    the last bit with the thread count.  The pass restores the old count
-    when it returns or raises.
+    threads, so the buffer bound holds for the process.  For the whole pass
+    numpy's OpenBLAS, if bundled, is held at one thread: the pool keeps
+    every core busy, OpenBLAS threads woken by a threaded product would
+    spin on those cores after it, and a threaded A^T b can change in the
+    last bit with the thread count.  The pass restores the old count when
+    it returns or raises.
     """
     global _sampling_pool
     matrices = ensemble.matrices
     if not isinstance(matrices, LazyMatrices):
         for r in rounds:
             work(r, matrices[r])
+        for r in streamed:
+            take(r, _signal_product(matrices[r], z))
         return
-    blas = _openblas_threads()
-    # buffers free for this pass's next round; list.append and list.pop
-    # are atomic, so each buffer serves one round at a time
-    free: list[np.ndarray] = []
+    n, k = matrices._n, matrices._k
+    support = None if z is None else np.flatnonzero(z)
+    # rounds not yet taken by a lane; deque.popleft is atomic
+    full, rest = deque(rounds), deque(streamed)
 
-    def sample_and_work(r: int) -> None:
+    def lane(owns_buffer: bool) -> None:
         try:
-            cols = free.pop()
-        except IndexError:
-            cols = np.empty((matrices._n, matrices._k))
-        try:
-            work(r, _sampled(matrices, r, cols))
-        finally:
-            free.append(cols)
+            cols = None
+            while owns_buffer and (r := _pop(full)) is not None:
+                if cols is None:
+                    cols = np.empty((n, k))
+                work(r, next(_sampled(matrices, r, cols)).T)
+            block = None if cols is None else cols[:_STREAM_BLOCK_ROWS]
+            while (r := _pop(rest)) is not None:
+                if block is None:
+                    block = np.empty((min(_STREAM_BLOCK_ROWS, n), k))
+                take(r, _streamed_product(matrices, r, block, z, support))
+        except BaseException:
+            # the other lanes stop after their current round
+            full.clear()
+            rest.clear()
+            raise
 
     with _pass_lock:
         if _sampling_pool is None:
             _sampling_pool = ThreadPoolExecutor(
                 max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
             )
+        threads = _sampling_pool._max_workers
+        lanes = -(-threads // 2) if rest else threads
+        blas = _openblas_threads()
         if blas is not None:
             threads_before = blas[0]()
             blas[1](1)
         try:
-            # reading every result raises the first error of any round here
-            for _ in _sampling_pool.map(sample_and_work, rounds):
-                pass
+            running = [_sampling_pool.submit(lane, i < lanes) for i in range(threads)]
+            # every lane ends before the pass does; then the first error of any round is raised
+            wait(running)
+            for done in running:
+                done.result()
         finally:
-            # a pool thread may hold this pass's closure a moment after its
-            # last round; the buffers go now all the same
-            free.clear()
             if blas is not None:
                 blas[1](threads_before)
+
+
+def _pop(rounds: deque) -> int | None:
+    try:
+        return rounds.popleft()
+    except IndexError:
+        return None
+
+
+def _streamed_product(
+    matrices: LazyMatrices, r: int, block: np.ndarray, z: np.ndarray, support: np.ndarray
+) -> np.ndarray:
+    """A_r z as :func:`_signal_product` sums it, with A_r drawn ``len(block)`` columns at a time."""
+    Az = np.zeros(matrices._k)
+    if support.size == 0:
+        return Az
+    start = 0
+    for rows in _sampled(matrices, r, block):
+        stop = start + len(rows)
+        lo, hi = np.searchsorted(support, (start, stop))
+        Az = _add_support_rows(Az, rows, z[start:stop], support[lo:hi] - start)
+        if hi == support.size:
+            break
+        start = stop
+    return Az
 
 
 def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -329,12 +394,17 @@ def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     No BLAS call is made, so the bits do not depend on A's memory layout or
     on the BLAS thread count; an empty support gives zeros(k).
     """
-    out = np.zeros(A.shape[0])
-    support = np.flatnonzero(z)
+    return _add_support_rows(np.zeros(A.shape[0]), A.T, z, np.flatnonzero(z))
+
+
+def _add_support_rows(
+    out: np.ndarray, columns: np.ndarray, z: np.ndarray, support: np.ndarray
+) -> np.ndarray:
+    """``out`` plus z_i * columns[i] for i in the ascending ``support``, one term at a time."""
     for start in range(0, support.size, _PRODUCT_BLOCK_ROWS):
         idx = support[start : start + _PRODUCT_BLOCK_ROWS]
         # C-order (len(idx), k) for a row- and a column-major A alike
-        rows = A.T[idx] * z[idx, None]
+        rows = columns[idx] * z[idx, None]
         # the running sum enters as the first term, so the order stays ascending
         rows[0] += out
         if out.size == 1:
@@ -347,20 +417,16 @@ def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measure_round(
-    A: np.ndarray, z: np.ndarray, r: int, r0: int, sigma_w: float, noise_mode: str, noise_seed: int
+def _add_noise(
+    Az: np.ndarray, r: int, r0: int, sigma_w: float, noise_mode: str, noise_seed: int
 ) -> np.ndarray:
-    """b[r] = A z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``.
-
-    A z is :func:`_signal_product`, summed over the columns of supp(z).
-    """
-    k = A.shape[0]
+    """b[r] = A z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``."""
+    k = Az.shape[0]
     noise_sd = sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
-    b = _signal_product(A, z)
     if noise_sd > 0:
         noise = GaussianSource(noise_seed).stream(2 * r0 + r + 1).generator().standard_normal(k)
-        b = b + noise_sd * noise
-    return b
+        return Az + noise_sd * noise
+    return Az
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,6 +478,9 @@ def measure(
     The pass also back-projects rounds [0, r0), v[r] = A[r]^T b[r], while
     each matrix is at hand, and keeps them for the recovery routines, so no
     matrix is sampled twice.  The arrays are read-only so they cannot go stale.
+    Rounds [r0, 2*r0) feed only the noise floor, so a seeded ensemble streams
+    them: their matrices are drawn only up to the largest support index, a
+    block of columns at a time, and never held whole.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
@@ -427,12 +496,15 @@ def measure(
     vectors = np.empty((2 * r0, ensemble.k))
     projections = np.empty((r0, ensemble.n))
 
-    def measure_and_project(r: int, A: np.ndarray) -> None:
-        vectors[r] = _measure_round(A, zv, r, r0, sigma_w, noise_mode, noise_seed)
-        if r < r0:
-            projections[r] = A.T @ vectors[r]
+    def noisy(r: int, Az: np.ndarray) -> None:
+        vectors[r] = _add_noise(Az, r, r0, sigma_w, noise_mode, noise_seed)
 
-    _each_round(ensemble, range(2 * r0), measure_and_project)
+    def measure_and_project(r: int, A: np.ndarray) -> None:
+        noisy(r, _signal_product(A, zv))
+        projections[r] = A.T @ vectors[r]
+
+    # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
+    _each_round(ensemble, range(r0), measure_and_project, zv, range(r0, 2 * r0), noisy)
     vectors.flags.writeable = projections.flags.writeable = False
     measurements = MeasurementEnsemble(
         vectors=vectors,

@@ -13,6 +13,7 @@ import randcs.sensing as sensing
 from randcs.numerics import GaussianSource, sample_gaussian_matrix
 from randcs.recovery import back_project, recover_suppressed
 from randcs.sensing import (
+    NOISE_MODES,
     LazyMatrices,
     MeasurementEnsemble,
     RecoveryConfig,
@@ -506,6 +507,89 @@ class TestPass:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_streaming_measure_holds_a_buffer_per_two_threads(self, monkeypatch, threads):
+        # on a pool of P threads, measure's full rounds run in ceil(P/2)
+        # lanes of one buffer each and its noise-floor rounds hold no matrix
+        n, k = 1000, 1500
+        pool = ThreadPoolExecutor(max_workers=threads)
+        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        ens = build_ensemble(RecoveryConfig(n=n, s=10, k=k, r0=6, master_seed=29))
+        z = generate_binary_signal(29, n, 10)
+        tracemalloc.start()
+        try:
+            measure(ens, z, 0.1, "experiment", 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            pool.shutdown()
+        assert peak < (math.ceil(threads / 2) + 1) * 8 * n * k
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_full_passes_run_on_every_pool_thread(self, monkeypatch, tmp_path, threads):
+        # a dump and an unkept back-projection have no streamed round, so
+        # all P pool threads sample at once: each sampling waits until P
+        # rounds are being sampled together, or the barrier breaks
+        pool = ThreadPoolExecutor(max_workers=threads)
+        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        ens = build_ensemble(RecoveryConfig(n=30, s=2, k=12, r0=3, master_seed=37))
+        meas = _unkept(measure(ens, generate_binary_signal(37, 30, 2), 0.1, "experiment", 37))
+        together = threading.Barrier(threads)
+        names = set()
+        real_sampled = sensing._sampled
+
+        def meeting_sampled(matrices, r, cols):
+            names.add(threading.current_thread().name)
+            together.wait(timeout=30)
+            return real_sampled(matrices, r, cols)
+
+        monkeypatch.setattr(sensing, "_sampled", meeting_sampled)
+        try:
+            dump_ensemble(ens, tmp_path / "ens.bin")
+            assert len(names) == threads
+            names.clear()
+            projected = back_project(ens, meas, range(6))
+            assert len(names) == threads
+        finally:
+            pool.shutdown()
+        stored = load_ensemble(tmp_path / "ens.bin")
+        for r in range(6):
+            assert np.array_equal(stored.matrices[r], ens.matrices[r])
+            assert np.array_equal(projected[r], ens.matrices[r].T @ meas.vectors[r])
+
+    def test_lanes_take_each_round_once_under_switching(self, monkeypatch):
+        # more lanes than cores popping one shared queue of rounds, with
+        # rapid thread switching: every round is sampled exactly once and
+        # the values equal those of a single-thread pool
+        cfg = RecoveryConfig(n=600, s=12, k=40, r0=8, master_seed=67)
+        ens = build_ensemble(cfg)
+        z = generate_binary_signal(67, 600, 12)
+        runs = []
+        for threads in (1, 5):
+            pool = ThreadPoolExecutor(max_workers=threads)
+            monkeypatch.setattr(sensing, "_sampling_pool", pool)
+            calls = []
+            real_sampled = sensing._sampled
+
+            def recording_sampled(matrices, r, cols):
+                calls.append(r)
+                return real_sampled(matrices, r, cols)
+
+            monkeypatch.setattr(sensing, "_sampled", recording_sampled)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                meas = measure(ens, z, 0.1, "experiment", 67)
+                projected = back_project(ens, _unkept(meas), range(16))
+            finally:
+                sys.setswitchinterval(interval)
+                monkeypatch.setattr(sensing, "_sampled", real_sampled)
+                pool.shutdown()
+            assert sorted(calls) == sorted(list(range(16)) + list(range(16)))
+            runs.append((meas.vectors, back_project(ens, meas, range(8)), projected))
+        for one, five in zip(*runs):
+            assert one.tobytes() == five.tobytes()
+
     def test_non_finite_signal_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("a matrix was sampled")
@@ -559,6 +643,92 @@ class TestSignalProduct:
                     assert np.array_equal(meas.vectors[r], _support_sum(ens.matrices[r], z))
         finally:
             set_threads(before)
+
+
+def _spread_values(support, seed):
+    """Nonzero values over nine decades at ``support``, so any other summation order shows."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(len(support)) * 10.0 ** rng.integers(-4, 5, size=len(support))
+
+
+_BLOCK = sensing._STREAM_BLOCK_ROWS
+# supports in a signal of n=700, by what they exercise in a streamed round
+_STREAMED_SUPPORTS = {
+    "ends": [0, 3, 350, 699],
+    "straddle": [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1],
+    "first-column": [0],
+    "above-product-block": sorted(
+        np.random.default_rng(5).choice(700, size=sensing._PRODUCT_BLOCK_ROWS + 44, replace=False)
+    ),
+    "empty": [],
+}
+
+
+class TestStreamedRounds:
+    """measure's noise-floor rounds: A z from blocks of the stream, bit for bit."""
+
+    N, K, R0 = 700, 30, 2
+
+    def _signal(self, support):
+        z = np.zeros(self.N)
+        z[support] = _spread_values(support, len(support))
+        return z
+
+    @pytest.mark.parametrize("noise_mode", NOISE_MODES)
+    @pytest.mark.parametrize("case", sorted(_STREAMED_SUPPORTS))
+    def test_measure_equals_ascending_loop(self, tmp_path, case, noise_mode):
+        # vectors against the explicit loop over ensemble.matrices[r], and
+        # the kept back-projections against A^T b, for a seeded ensemble and
+        # the same ensemble stored through RCS1; the vectors of the two agree
+        z = self._signal(_STREAMED_SUPPORTS[case])
+        seeded = build_ensemble(RecoveryConfig(n=self.N, s=1, k=self.K, r0=self.R0, master_seed=43))
+        stored = _dumped(seeded, tmp_path)
+        sd = 0.1 if noise_mode == "theory" else 0.1 / math.sqrt(self.K)
+        runs = []
+        for ens in (seeded, stored):
+            meas = measure(ens, z, 0.1, noise_mode, 43)
+            kept = back_project(ens, meas, range(self.R0))
+            for r in range(2 * self.R0):
+                A = ens.matrices[r]
+                noise = GaussianSource(43).stream(2 * self.R0 + r + 1).generator()
+                expected = _support_sum(A, z) + sd * noise.standard_normal(self.K)
+                assert meas.vectors[r].tobytes() == expected.tobytes()
+                if r < self.R0:
+                    assert kept[r].tobytes() == (A.T @ meas.vectors[r]).tobytes()
+            runs.append(meas.vectors)
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    @pytest.mark.parametrize("top", [0, 255, 256, 300, 699])
+    def test_streamed_round_stops_after_the_block_of_max_support(self, monkeypatch, top):
+        drawn = {}
+        real_sampled = sensing._sampled
+
+        def counting_sampled(matrices, r, cols):
+            for rows in real_sampled(matrices, r, cols):
+                drawn[r] = drawn.get(r, 0) + len(rows)
+                yield rows
+
+        monkeypatch.setattr(sensing, "_sampled", counting_sampled)
+        ens = build_ensemble(RecoveryConfig(n=self.N, s=1, k=self.K, r0=self.R0, master_seed=47))
+        measure(ens, self._signal([0, top] if top else [0]), 0.1, "experiment", 47)
+        needed = min(self.N, (top // _BLOCK + 1) * _BLOCK)
+        assert drawn == {0: self.N, 1: self.N, 2: needed, 3: needed}
+
+    def test_empty_support_draws_no_noise_floor_round(self, monkeypatch):
+        drawn = []
+        real_sampled = sensing._sampled
+
+        def recording_sampled(matrices, r, cols):
+            drawn.append(r)
+            return real_sampled(matrices, r, cols)
+
+        monkeypatch.setattr(sensing, "_sampled", recording_sampled)
+        ens = build_ensemble(RecoveryConfig(n=self.N, s=1, k=self.K, r0=self.R0, master_seed=53))
+        meas = measure(ens, np.zeros(self.N), 0.1, "theory", 53)
+        assert sorted(drawn) == [0, 1]
+        for r in (2, 3):
+            noise = GaussianSource(53).stream(2 * self.R0 + r + 1).generator()
+            assert meas.vectors[r].tobytes() == (0.1 * noise.standard_normal(self.K)).tobytes()
 
 
 def _fixed_test_signal(n=50, s=5):
