@@ -104,14 +104,6 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _back_substitute(R: np.ndarray, c: np.ndarray) -> np.ndarray:
-    t = c.shape[0]
-    x = np.empty(t)
-    for i in range(t - 1, -1, -1):
-        x[i] = (c[i] - R[i, i + 1 : t] @ x[i + 1 : t]) / R[i, i]
-    return x
-
-
 def omp_steps(
     A: np.ndarray, b: np.ndarray, s_budget: int, residual_tol: float = 0.0
 ) -> Iterator[OmpState]:
@@ -174,7 +166,7 @@ def omp_steps(
         qtb[t] = Q[:, t] @ residual
         residual = residual - Q[:, t] * qtb[t]
         selected.append(j)
-        coeffs = _back_substitute(R[: t + 1, : t + 1], qtb[: t + 1])
+        coeffs = np.linalg.solve(R[: t + 1, : t + 1], qtb[: t + 1])
         yield OmpState(
             residual=residual.copy(), selected=tuple(selected), coefficients=coeffs
         )

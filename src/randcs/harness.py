@@ -30,11 +30,9 @@ from .baselines import biht, nbiht, omp, sign_quantize
 from .numerics import derive_seed
 from .recovery import determine_support
 from .sensing import (
-    NOISE_MODES,
     RecoveryConfig,
     Signal,
     _add_noise,
-    _check_noise_level,
     _signal_product,
     build_ensemble,
     generate_binary_signal,
@@ -57,7 +55,11 @@ def jaccard(pred: Iterable[int], true: Iterable[int]) -> float:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """The full benchmark specification: sizes, sparsities, methods, and knobs."""
+    """The full benchmark specification: sizes, sparsities, methods, and knobs.
+
+    Every (n, s) cell must make a valid ``RecoveryConfig``, whose error is
+    re-raised with the cell named, and no method or cell may repeat.
+    """
 
     n_values: tuple[int, ...]
     sparsity_fractions: tuple[float, ...]
@@ -82,9 +84,9 @@ class ExperimentGrid:
         unknown = set(self.methods) - set(METHODS)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
-        _check_noise_level(self.sigma_w)
+        repeated = [m for m, count in Counter(self.methods).items() if count > 1]
+        if repeated:
+            raise ValueError(f"methods must not repeat, got {repeated} more than once")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         for name in ("k_override", "r0_override", "biht_max_iters"):
@@ -96,9 +98,15 @@ class ExperimentGrid:
         for f in self.sparsity_fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"sparsity fractions must lie in (0, 1], got {f}")
-            for n in self.n_values:
-                if round(f * n) < 1:
-                    raise ValueError(f"fraction {f} of n={n} rounds to zero nonzeros")
+        cells = self.cells()
+        for n, s in cells:
+            try:
+                trial_config(self, n, s, 0)
+            except ValueError as exc:
+                raise ValueError(f"cell n={n}, s={s}: {exc}") from exc
+        repeated = [cell for cell, count in Counter(cells).items() if count > 1]
+        if repeated:
+            raise ValueError(f"(n, s) cells must not repeat, got {repeated} more than once")
 
     def cells(self) -> list[tuple[int, int]]:
         """(n, s) pairs in grid order, with s = round(fraction * n)."""

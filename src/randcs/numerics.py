@@ -61,17 +61,14 @@ class GaussianSource:
         return GaussianSource(self.master_seed, index)
 
     def generator(self) -> np.random.Generator:
-        """A fresh numpy Generator positioned at the start of this stream.
+        """A fresh numpy Generator at the start of this stream.
 
-        Equivalent to ``Generator(Philox(key=[master_seed, stream_index]))``
-        but installs the key through the state interface, which skips the
-        (unused) entropy pull a keyed constructor performs.
+        ``Generator(Philox(key=[master_seed, stream_index]))``, counter at
+        zero: Philox keyed with the two identity words, both already
+        reduced to 64 bits.
         """
-        bg = np.random.Philox(seed=0)
-        state = bg.state
-        state["state"]["key"] = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        bg.state = state
-        return np.random.Generator(bg)
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: float) -> np.ndarray:

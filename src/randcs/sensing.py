@@ -34,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 import os
 import struct
 import threading
@@ -328,7 +329,7 @@ def _each_round(
             cols = None
             while owns_buffer and (r := _pop(full)) is not None:
                 if cols is None:
-                    cols = np.empty((n, k))
+                    cols = _lane_buffer(n, k)
                 work(r, next(_sampled(matrices, r, cols)).T)
             block = None if cols is None else cols[:_STREAM_BLOCK_ROWS]
             while (r := _pop(rest)) is not None:
@@ -361,6 +362,22 @@ def _each_round(
         finally:
             if blas is not None:
                 blas[1](threads_before)
+
+
+def _lane_buffer(n: int, k: int) -> np.ndarray:
+    """An (n, k) buffer in an anonymous mapping of its own, unmapped when its last view goes.
+
+    glibc serves blocks up to the largest size it has unmapped from the
+    allocating thread's arena, and trims that arena only past twice that
+    size, so an ``np.empty`` buffer under 32 MB could stay resident after its pass.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((n, k))
+    # private like malloc's mappings (a shared one gets no transparent huge pages)
+    buf = mmap.mmap(-1, 8 * n * k, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy advises its large arrays
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, k)
 
 
 def _pop(rounds: deque) -> int | None:
@@ -573,10 +590,15 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
     n, k = ensemble.n, ensemble.k
     _write_fixture(path, n, k, ensemble.r0, ensemble.master_seed, ())
 
+    # rows copied per write, about 64 KiB: a copy of all of A would leave a
+    # pool thread's glibc arena holding a matrix-sized block (see _lane_buffer)
+    rows = max(1, 8192 // n)
+
     def write_round(r: int, A: np.ndarray) -> None:
         with open(path, "r+b") as fh:
             fh.seek(_HEADER.size + 8 * r * k * n)
-            fh.write(np.ascontiguousarray(A, dtype="<f8"))
+            for i in range(0, k, rows):
+                fh.write(np.ascontiguousarray(A[i : i + rows], dtype="<f8"))
 
     _each_round(ensemble, range(2 * ensemble.r0), write_round)
 

@@ -165,7 +165,8 @@ class TestOmp:
 
     def test_state_invariants_per_iteration(self):
         # residual stays orthogonal to selected columns, matches the
-        # explicit least-squares residual, and shrinks monotonically
+        # explicit least-squares residual, and shrinks monotonically; the
+        # coefficients are the least-squares fit
         rng = np.random.Generator(np.random.Philox(key=61))
         A = rng.standard_normal((40, 60))
         b = rng.standard_normal(40)
@@ -175,6 +176,8 @@ class TestOmp:
             sel = list(state.selected)
             fitted = A[:, sel] @ state.coefficients
             assert np.allclose(state.residual, b - fitted, rtol=1e-8, atol=1e-8)
+            lstsq = np.linalg.lstsq(A[:, sel], b, rcond=None)[0]
+            assert np.allclose(state.coefficients, lstsq, rtol=1e-10, atol=1e-12)
             for j in sel:
                 corr = abs(A[:, j] @ state.residual)
                 assert corr <= 1e-8 * np.linalg.norm(A[:, j]) * norm_b

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import struct
 
@@ -84,6 +85,24 @@ class TestBenchCommand:
         args, out, _ = bench_args(tmp_path)
         assert main(args + ["--biht-step", "0"]) == 1
         assert "biht_step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys):
+        # a repeated method would write every trial's row twice
+        args, out, _ = bench_args(tmp_path)
+        args[args.index("--methods") + 1] = "omp,omp"
+        assert main(args) == 1
+        assert "methods must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cell_without_measurements_is_usage_error(self, tmp_path, capsys):
+        # at n = 1 the default k = ceil(2 s ln n) and r0 = ceil(ln n) are 0;
+        # the grid rejects the cell instead of failing every trial
+        args, out, _ = bench_args(tmp_path)
+        args[args.index("--n") + 1] = "1"
+        args[args.index("--sparsity-pct") + 1] = "100"
+        assert main(args) == 1
+        assert "cell n=1, s=1: need k >= 1 and r0 >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_subcommand_is_usage_error(self):
@@ -201,3 +220,36 @@ class TestFailureExitCode:
         for trial in ("0", "1"):
             assert (f"failed trial: method=omp n=128 s=3 trial={trial} seed={seeds[trial]}: "
                     "FloatingPointError: synthetic") in err
+
+
+# SHA-256 of the golden grid's results.csv data rows without wall_time_s and
+# gen_time_s: fields joined by "," and rows by "\n"
+GOLDEN_RESULTS_SHA256 = "fb732383916961b92ecc151d1e55158a79001fbc961c7e9ea1d61a8802e702be"
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_results_csv_golden_digest(tmp_path, workers):
+    """The seeded results of a small four-method grid, pinned outside the timing columns.
+
+    Every column but ``wall_time_s`` and ``gen_time_s`` is a pure function of
+    the seeds: supports, sizes, k, r0 and R of ``rand``, OMP, BIHT and NBIHT.
+    Change the digest only together with a CHANGES.md entry that says why
+    the results changed.
+    """
+    out = tmp_path / "results.csv"
+    assert main([
+        "bench",
+        "--n", "256,1024",
+        "--sparsity-pct", "1,2",
+        "--trials", "4",
+        "--methods", "rand,omp,biht,nbiht",
+        "--workers", workers,
+        "--out", str(out),
+        "--summary", str(tmp_path / "summary.txt"),
+    ]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    keep = [i for i, col in enumerate(header) if col not in ("wall_time_s", "gen_time_s")]
+    text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    assert len(rows) == 64
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RESULTS_SHA256

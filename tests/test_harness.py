@@ -94,6 +94,11 @@ class TestExperimentGrid:
             dict(biht_max_iters=0),
             dict(k_override=0),
             dict(r0_override=0),
+            dict(n_values=(1,), sparsity_fractions=(1.0,)),  # default k and r0 are 0
+            dict(methods=("omp", "omp")),
+            dict(n_values=(128, 128)),
+            dict(sparsity_fractions=(0.02, 0.02)),
+            dict(sparsity_fractions=(0.02, 0.021)),  # both give s = 3 at n = 128
         ],
     )
     def test_invalid_grids_rejected(self, overrides):

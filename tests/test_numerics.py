@@ -37,6 +37,19 @@ class TestGaussianSource:
         b = GaussianSource(123).stream(2).generator().standard_normal(100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 1, 2**64 - 1])
+    def test_keyed_philox_matches_state_keying(self, seed, stream):
+        # oracle: a Philox whose key is installed through the state interface,
+        # from the identity words reduced to 64 bits
+        bg = np.random.Philox(seed=0)
+        state = bg.state
+        state["state"]["key"] = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+        bg.state = state
+        expected = np.random.Generator(bg).standard_normal(1000)
+        got = GaussianSource(seed, stream).generator().standard_normal(1000)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_negative_seed_normalized(self):
         assert GaussianSource(-1).master_seed == 2**64 - 1
 

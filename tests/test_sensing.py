@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -338,6 +339,33 @@ def _support_sum(A, z):
     return out
 
 
+class _LaneBuffers:
+    """Bytes of lane buffers alive, now and at most: tracemalloc does not see their mappings."""
+
+    def __init__(self, monkeypatch):
+        self._lock = threading.Lock()
+        self.live = self.peak = 0
+        real = sensing._lane_buffer
+
+        def counted(n, k):
+            buf = real(n, k)
+            # every view of the buffer keeps this owner, and it keeps the mapping
+            owner = buf
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            with self._lock:
+                self.live += buf.nbytes
+                self.peak = max(self.peak, self.live)
+            weakref.finalize(owner, self._freed, buf.nbytes)
+            return buf
+
+        monkeypatch.setattr(sensing, "_lane_buffer", counted)
+
+    def _freed(self, nbytes):
+        with self._lock:
+            self.live -= nbytes
+
+
 def _blas_threads():
     blas = sensing._openblas_threads()
     if blas is None:
@@ -445,10 +473,11 @@ class TestPass:
             assert at_one.tobytes() == at_two.tobytes()
 
     @pytest.mark.parametrize("callers", [2, 3])
-    def test_concurrent_passes_hold_one_buffer_per_core(self, callers):
+    def test_concurrent_passes_hold_one_buffer_per_core(self, monkeypatch, callers):
         # passes started together from several threads run one at a time,
         # so the process never holds more than one buffer per pool thread
         n, k = 1000, 1500
+        buffers = _LaneBuffers(monkeypatch)
         ens = build_ensemble(RecoveryConfig(n=n, s=10, k=k, r0=6, master_seed=23))
         z = generate_binary_signal(23, n, 10)
         start = threading.Barrier(callers)
@@ -464,7 +493,7 @@ class TestPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (os.cpu_count() + 1) * 8 * n * k
+        assert peak + buffers.peak < (os.cpu_count() + 1) * 8 * n * k
 
     def test_peak_memory_independent_of_round_count(self, monkeypatch):
         # one sampling thread, so each pass allocates one buffer and reuses
@@ -473,14 +502,16 @@ class TestPass:
         n, k = 300, 100
         pool = ThreadPoolExecutor(max_workers=1)
         monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        buffers = _LaneBuffers(monkeypatch)
         z = generate_binary_signal(3, n, 3)
 
         def peak(r0):
+            buffers.peak = buffers.live
             tracemalloc.start()
             try:
                 ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=r0, master_seed=3))
                 measure(ens, z, 0.1, "experiment", 3)
-                return tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1] + buffers.peak
             finally:
                 tracemalloc.stop()
 
@@ -491,21 +522,42 @@ class TestPass:
             pool.shutdown()
         assert abs(large - small) < 8 * n * k
 
-    def test_no_buffer_outlives_the_pass(self):
+    def test_no_buffer_outlives_the_pass(self, monkeypatch):
         # a shape no other test samples, so that every buffer of these
-        # passes is allocated while tracing; after each pass returns, less
-        # than one matrix is still allocated
+        # passes is allocated while tracing; after each pass returns, no
+        # lane buffer is mapped and less than one matrix is still allocated
         n, k = 311, 97
+        buffers = _LaneBuffers(monkeypatch)
         z = generate_binary_signal(9, n, 3)
         tracemalloc.start()
         try:
             ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=4, master_seed=9))
             meas = measure(ens, z, 0.1, "experiment", 9)
+            assert buffers.peak > 0 and buffers.live == 0
             assert tracemalloc.get_traced_memory()[0] < 8 * n * k
             back_project(ens, _unkept(meas), range(8))
+            assert buffers.live == 0
             assert tracemalloc.get_traced_memory()[0] < 8 * n * k
         finally:
             tracemalloc.stop()
+
+    def test_dump_copies_no_matrix(self, monkeypatch, tmp_path):
+        # a round is written in row blocks of about 64 KiB (16 rows here, the
+        # last one short), so beside the lane buffers no matrix-sized copy is made
+        n, k = 500, 401
+        buffers = _LaneBuffers(monkeypatch)
+        ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=2, master_seed=41))
+        tracemalloc.start()
+        try:
+            dump_ensemble(ens, tmp_path / "ens.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffers.peak >= 8 * n * k
+        assert peak < 8 * n * k / 4
+        stored = load_ensemble(tmp_path / "ens.bin")
+        for r in range(4):
+            assert np.array_equal(stored.matrices[r], ens.matrices[r])
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_streaming_measure_holds_a_buffer_per_two_threads(self, monkeypatch, threads):
@@ -514,6 +566,7 @@ class TestPass:
         n, k = 1000, 1500
         pool = ThreadPoolExecutor(max_workers=threads)
         monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        buffers = _LaneBuffers(monkeypatch)
         ens = build_ensemble(RecoveryConfig(n=n, s=10, k=k, r0=6, master_seed=29))
         z = generate_binary_signal(29, n, 10)
         tracemalloc.start()
@@ -523,7 +576,7 @@ class TestPass:
         finally:
             tracemalloc.stop()
             pool.shutdown()
-        assert peak < (math.ceil(threads / 2) + 1) * 8 * n * k
+        assert peak + buffers.peak < (math.ceil(threads / 2) + 1) * 8 * n * k
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_full_passes_run_on_every_pool_thread(self, monkeypatch, tmp_path, threads):
