@@ -26,7 +26,11 @@ pass, the values do not depend on the thread count.
 
 A measurement A z sums z_i * A[:, i] over the signal's support alone, one
 term at a time in ascending i and without BLAS, so b[r] is the same bit for
-bit for a seeded and a stored ensemble, at any thread count.
+bit for a seeded and a stored ensemble, at any thread count.  An ``RCS2``
+fixture stores each matrix as its (n, k) sampling buffer, so a loaded
+matrix is column-major as a seeded one is and BLAS multiplies both with one
+kernel: at one BLAS thread, A^T b is the same bit for bit.  An ``RCS1``
+fixture (row-major matrices, still read) can differ there in the last bit.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ SIGNAL_STREAM = 0
 
 NOISE_MODES = ("theory", "experiment")
 
+# an ensemble is stored as its (n, k) sampling buffers; RCS1 (row-major
+# (k, n) matrices) is still read, and is the measurement format
+_ENSEMBLE_MAGIC = b"RCS2"
 _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
@@ -552,85 +559,78 @@ def _back_project(
     return per_round
 
 
-def _write_fixture(
-    path, n: int, k: int, r0: int, master_seed: int, blocks: Iterable[np.ndarray]
-) -> None:
-    header = _HEADER.pack(_FIXTURE_MAGIC, n, k, r0, master_seed & ((1 << 64) - 1))
+def _write_fixture(path, magic: bytes, n: int, k: int, r0: int, seed: int, blocks=()) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        # one block at a time, so at most one block is ever copied
+        fh.write(_HEADER.pack(magic, n, k, r0, seed & ((1 << 64) - 1)))
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def _read_fixture(path) -> tuple[int, int, int, int, np.ndarray]:
+def _read_fixture(path, *magics: bytes) -> tuple[bytes, int, int, int, int, np.ndarray]:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError(f"{path}: truncated fixture file")
         magic, n, k, r0, seed = _HEADER.unpack(header)
-        if magic != _FIXTURE_MAGIC:
-            raise ValueError(f"{path}: not an ensemble fixture (bad magic {magic!r})")
+        if magic not in magics:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected one of {magics}")
         if min(n, k, r0) < 1:
             raise ValueError(f"{path}: header needs n, k and r0 of at least 1, got {n}, {k}, {r0}")
         payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload_bytes % 8:
             raise ValueError(f"{path}: {payload_bytes}-byte payload is not whole float64 values")
         payload = np.fromfile(fh, dtype="<f8", count=payload_bytes // 8)
-    return int(n), int(k), int(r0), int(seed), payload.astype(np.float64, copy=False)
+    return magic, int(n), int(k), int(r0), int(seed), payload.astype(np.float64, copy=False)
 
 
 def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
     """Write an ensemble to the binary fixture format.
 
-    Layout: magic ``RCS1`` then n, k, r0, seed as little-endian 64-bit
-    fields, followed by the 2*r0 matrices as row-major float64, each
-    written to its place as the pass reaches it.
+    Layout: magic ``RCS2`` then n, k, r0, seed as little-endian 64-bit
+    fields, followed by the 2*r0 matrices as float64 (n, k) sampling
+    buffers, row i of buffer r being column i of matrix r.  Each seeded
+    round is written from its lane buffer as the pass reaches it, uncopied.
     """
     n, k = ensemble.n, ensemble.k
-    _write_fixture(path, n, k, ensemble.r0, ensemble.master_seed, ())
-
-    # rows copied per write, about 64 KiB: a copy of all of A would leave a
-    # pool thread's glibc arena holding a matrix-sized block (see _lane_buffer)
-    rows = max(1, 8192 // n)
+    _write_fixture(path, _ENSEMBLE_MAGIC, n, k, ensemble.r0, ensemble.master_seed)
 
     def write_round(r: int, A: np.ndarray) -> None:
         with open(path, "r+b") as fh:
             fh.seek(_HEADER.size + 8 * r * k * n)
-            for i in range(0, k, rows):
-                fh.write(np.ascontiguousarray(A[i : i + rows], dtype="<f8"))
+            fh.write(np.ascontiguousarray(A.T, dtype="<f8"))
 
     _each_round(ensemble, range(2 * ensemble.r0), write_round)
 
 
 def load_ensemble(path) -> SensingEnsemble:
-    """Read an ensemble fixture written by :func:`dump_ensemble`."""
-    n, k, r0, seed, payload = _read_fixture(path)
+    """Read an ensemble fixture written by :func:`dump_ensemble`, or an older RCS1 one.
+
+    An RCS2 matrix is the transposed view of its (n, k) buffer, laid out as a
+    seeded round is; RCS1 gives row-major (k, n) matrices (see the module).
+    """
+    magic, n, k, r0, seed, payload = _read_fixture(path, _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
     expected = 2 * r0 * k * n
     if payload.size != expected:
         raise ValueError(f"{path}: expected {expected} matrix entries, found {payload.size}")
-    matrices = tuple(payload.reshape(2 * r0, k, n))
+    if magic == _ENSEMBLE_MAGIC:
+        stacked = payload.reshape(2 * r0, n, k).transpose(0, 2, 1)
+    else:
+        stacked = payload.reshape(2 * r0, k, n)
     try:
-        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
+        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=tuple(stacked))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_measurements(measurements: MeasurementEnsemble, path) -> None:
     """Write measurement vectors to the binary fixture format (same header)."""
-    _write_fixture(
-        path,
-        measurements.n,
-        measurements.k,
-        measurements.r0,
-        measurements.master_seed,
-        [measurements.vectors],
-    )
+    m = measurements
+    _write_fixture(path, _FIXTURE_MAGIC, m.n, m.k, m.r0, m.master_seed, [m.vectors])
 
 
 def load_measurements(path) -> MeasurementEnsemble:
     """Read a measurement fixture written by :func:`dump_measurements`."""
-    n, k, r0, seed, payload = _read_fixture(path)
+    _, n, k, r0, seed, payload = _read_fixture(path, _FIXTURE_MAGIC)
     expected = 2 * r0 * k
     if payload.size != expected:
         raise ValueError(f"{path}: expected {expected} measurement entries, found {payload.size}")

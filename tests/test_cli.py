@@ -163,6 +163,20 @@ class TestRecoverCommand:
                      "--algorithm", "basic"]) == 1
         assert "disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["basic", "suppressed", "support"])
+    def test_rcs1_ensemble_gives_the_same_support(self, fixtures, tmp_path, algorithm, capsys):
+        # the same ensemble written by hand in the older RCS1 layout (row-major matrices)
+        _, ens, *_, epath, mpath = fixtures
+        rcs1 = tmp_path / "ens-rcs1.bin"
+        header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
+        rcs1.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
+        reports = []
+        for path in (epath, str(rcs1)):
+            assert main(["recover", "--ensemble", path, "--measurements", mpath,
+                         "--algorithm", algorithm]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["support"] == reports[1]["support"]
+
     @pytest.mark.parametrize("which", ["ensemble", "measurements"])
     def test_non_finite_fixture_is_usage_error(self, fixtures, which, capsys):
         *_, epath, mpath = fixtures

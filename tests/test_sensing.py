@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import sys
 import threading
 import tracemalloc
@@ -318,7 +319,7 @@ class TestMeasure:
 
 
 def _dumped(ens, directory):
-    """The ensemble written to an RCS1 file by dump_ensemble and read back."""
+    """The ensemble written to an RCS2 file by dump_ensemble and read back."""
     path = directory / "ens.bin"
     dump_ensemble(ens, path)
     return load_ensemble(path)
@@ -366,52 +367,55 @@ class _LaneBuffers:
             self.live -= nbytes
 
 
-def _blas_threads():
-    blas = sensing._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
-    return blas[0]()
-
-
 class TestPass:
     """One pass over the rounds: measure, back-project and dump share it."""
 
-    def test_seeded_and_stored_ensembles(self, tmp_path):
+    @staticmethod
+    def _seeded_against_stored(tmp_path, n, s, k, seed):
         # each storage form against its own rounds replayed by definition,
-        # bit for bit.  The measurement vectors of the two forms are equal,
-        # since A z is the support sum in one fixed order; the
-        # back-projections reach the same support but not always the same
-        # last bit, since a stored matrix is row-major and a sampled one
-        # column-major, and BLAS sums the two layouts in different orders
-        cfg = RecoveryConfig(n=40, s=3, k=24, r0=4, master_seed=61)
-        seeded = build_ensemble(cfg)
+        # bit for bit, and the two forms against each other byte for byte:
+        # the measurement vectors, since A z is the support sum in one fixed
+        # order, and the kept and unkept back-projections and suppressed
+        # values, since an RCS2 matrix is column-major as a sampled one is
+        # and BLAS, at one thread, multiplies both with the same kernel
+        r0 = 4
+        seeded = build_ensemble(RecoveryConfig(n=n, s=s, k=k, r0=r0, master_seed=seed))
         stored = _dumped(seeded, tmp_path)
-        z = generate_binary_signal(61, 40, 3)
+        z = generate_binary_signal(seed, n, s)
         results = []
         for ens in (seeded, stored):
-            meas = measure(ens, z, 0.1, "experiment", 61)
-            projected = back_project(ens, meas, range(8))
-            for r in range(8):
-                A = sample_gaussian_matrix(GaussianSource(61).stream(r + 1), 24, 40, 1 / 24)
+            meas = measure(ens, z, 0.1, "experiment", seed)
+            projected = back_project(ens, _unkept(meas), range(2 * r0))
+            for r in range(2 * r0):
+                A = sample_gaussian_matrix(GaussianSource(seed).stream(r + 1), k, n, 1 / k)
                 assert np.array_equal(ens.matrices[r], A)
                 A = ens.matrices[r]
-                noise = GaussianSource(61).stream(8 + r + 1).generator().standard_normal(24)
-                expected = _support_sum(A, z.values) + 0.1 / math.sqrt(24) * noise
+                noise = GaussianSource(seed).stream(2 * r0 + r + 1).generator().standard_normal(k)
+                expected = _support_sum(A, z.values) + 0.1 / math.sqrt(k) * noise
                 assert np.array_equal(meas.vectors[r], expected)
                 assert np.array_equal(projected[r], A.T @ meas.vectors[r])
-            kept = back_project(ens, meas, range(4))
-            assert np.array_equal(kept, projected[:4])
+            kept = back_project(ens, meas, range(r0))
+            assert np.array_equal(kept, projected[:r0])
             values = recover_suppressed(ens, meas).values
-            assert np.array_equal(values, recover_suppressed(ens, _unkept(meas)).values)
-            results.append((meas.vectors, projected, values))
-        assert np.array_equal(results[0][0], results[1][0])
-        for a, b in zip(results[0][1:], results[1][1:]):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(results[0][2] != 0, results[1][2] != 0)
+            unkept_values = recover_suppressed(ens, _unkept(meas)).values
+            assert np.array_equal(values, unkept_values)
+            results.append((meas.vectors, kept, projected, values, unkept_values))
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
 
-    def test_blas_threads_held_at_one_and_restored(self, monkeypatch):
-        before = _blas_threads()
+    def test_seeded_and_stored_ensembles(self, tmp_path, blas_threads):
+        blas_threads(1)
+        self._seeded_against_stored(tmp_path, n=40, s=3, k=24, seed=61)
+
+    def test_seeded_and_stored_ensembles_at_uneven_blas_split(self, tmp_path, blas_threads):
+        # at n=2002 OpenBLAS splits A^T b unevenly over two threads; at one
+        # thread a stored and a seeded ensemble still agree byte for byte
+        blas_threads(1)
+        self._seeded_against_stored(tmp_path, n=2002, s=20, k=305, seed=41)
+
+    def test_blas_threads_held_at_one_and_restored(self, monkeypatch, blas_threads):
         get = sensing._openblas_threads()[0]
+        before = get()
         cfg = RecoveryConfig(n=40, s=2, k=24, r0=4, master_seed=5)
         ens = build_ensemble(cfg)
         z = generate_binary_signal(5, 40, 2)
@@ -452,23 +456,18 @@ class TestPass:
         assert len(runs) == 4
         assert get() == before
 
-    def test_seeded_values_independent_of_blas_threads(self):
+    def test_seeded_values_independent_of_blas_threads(self, blas_threads):
         # at n=2002 OpenBLAS splits A^T b unevenly over two threads, which
         # changes some last bits; the pass holds it at one thread whatever
         # the caller set
-        before = _blas_threads()
-        set_threads = sensing._openblas_threads()[1]
         ens = build_ensemble(RecoveryConfig(n=2002, s=20, k=305, r0=4, master_seed=41))
         z = generate_binary_signal(41, 2002, 20)
         runs = []
-        try:
-            for threads in (1, 2):
-                set_threads(threads)
-                meas = measure(ens, z, 0.1, "experiment", 41)
-                kept = back_project(ens, meas, range(4))
-                runs.append((kept, back_project(ens, _unkept(meas), range(8))))
-        finally:
-            set_threads(before)
+        for threads in (1, 2):
+            blas_threads(threads)
+            meas = measure(ens, z, 0.1, "experiment", 41)
+            kept = back_project(ens, meas, range(4))
+            runs.append((kept, back_project(ens, _unkept(meas), range(8))))
         for at_one, at_two in zip(*runs):
             assert at_one.tobytes() == at_two.tobytes()
 
@@ -542,8 +541,8 @@ class TestPass:
             tracemalloc.stop()
 
     def test_dump_copies_no_matrix(self, monkeypatch, tmp_path):
-        # a round is written in row blocks of about 64 KiB (16 rows here, the
-        # last one short), so beside the lane buffers no matrix-sized copy is made
+        # a round is written straight from its lane buffer, so beside the
+        # lane buffers no matrix-sized copy is made
         n, k = 500, 401
         buffers = _LaneBuffers(monkeypatch)
         ens = build_ensemble(RecoveryConfig(n=n, s=3, k=k, r0=2, master_seed=41))
@@ -679,23 +678,18 @@ class TestSignalProduct:
         assert got.tobytes() == np.zeros(3).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_measure_seeded_and_stored_at_blas_threads(self, tmp_path, threads):
+    def test_measure_seeded_and_stored_at_blas_threads(self, tmp_path, blas_threads, threads):
         # k * n is far above the size at which OpenBLAS threads a product
-        before = _blas_threads()
-        set_threads = sensing._openblas_threads()[1]
         cfg = RecoveryConfig(n=2000, s=40, k=120, r0=2, master_seed=17)
         seeded = build_ensemble(cfg)
         stored = _dumped(seeded, tmp_path)
         z = np.zeros(2000)
         z[generate_binary_signal(17, 2000, 40).values > 0] = np.linspace(-2.0, 3.0, 40)
-        set_threads(threads)
-        try:
-            for ens in (seeded, stored):
-                meas = measure(ens, z, 0.0, "theory", 17)
-                for r in range(4):
-                    assert np.array_equal(meas.vectors[r], _support_sum(ens.matrices[r], z))
-        finally:
-            set_threads(before)
+        blas_threads(threads)
+        for ens in (seeded, stored):
+            meas = measure(ens, z, 0.0, "theory", 17)
+            for r in range(4):
+                assert np.array_equal(meas.vectors[r], _support_sum(ens.matrices[r], z))
 
 
 def _spread_values(support, seed):
@@ -732,7 +726,7 @@ class TestStreamedRounds:
     def test_measure_equals_ascending_loop(self, tmp_path, case, noise_mode):
         # vectors against the explicit loop over ensemble.matrices[r], and
         # the kept back-projections against A^T b, for a seeded ensemble and
-        # the same ensemble stored through RCS1; the vectors of the two agree
+        # the same ensemble stored through RCS2; the vectors of the two agree
         z = self._signal(_STREAMED_SUPPORTS[case])
         seeded = build_ensemble(RecoveryConfig(n=self.N, s=1, k=self.K, r0=self.R0, master_seed=43))
         stored = _dumped(seeded, tmp_path)
@@ -848,7 +842,7 @@ class TestFixtureFormat:
         path = tmp_path / "ens.bin"
         dump_ensemble(ens, path)
         raw = path.read_bytes()
-        assert raw[:4] == b"RCS1"
+        assert raw[:4] == b"RCS2"
         assert int.from_bytes(raw[4:12], "little") == 8
         assert int.from_bytes(raw[12:20], "little") == 5
         assert int.from_bytes(raw[20:28], "little") == 2
@@ -873,12 +867,34 @@ class TestFixtureFormat:
         with pytest.raises(ValueError):
             load_measurements(path)
 
-    def test_ensemble_bytes_are_stacked_row_major_matrices(self, tmp_path):
+    def test_ensemble_bytes_are_stacked_sampling_buffers(self, tmp_path):
+        # buffer r is (n, k) with row i the column i of matrix r, as the
+        # matrix's stream fills it
         _, ens = self._ensemble()
         path = tmp_path / "ens.bin"
         dump_ensemble(ens, path)
-        payload = np.stack([np.asarray(m) for m in ens.matrices]).astype("<f8").tobytes()
-        assert path.read_bytes()[36:] == payload
+        buffers = [
+            GaussianSource(77).stream(r + 1).generator().standard_normal((8, 5)) * np.sqrt(1 / 5)
+            for r in range(4)
+        ]
+        assert path.read_bytes()[36:] == np.stack(buffers).astype("<f8").tobytes()
+        assert all(np.array_equal(b.T, m) for b, m in zip(buffers, ens.matrices))
+
+    def test_rcs1_fixture_loads_to_the_same_matrices(self, tmp_path):
+        # the older layout: the stacked (k, n) matrices, row-major
+        _, ens = self._ensemble()
+        path = tmp_path / "ens.bin"
+        _write_rcs1(path, ens)
+        back = load_ensemble(path)
+        assert (back.n, back.k, back.r0, back.master_seed) == (8, 5, 2, 77)
+        assert all(np.array_equal(a, b) for a, b in zip(back.matrices, ens.matrices))
+
+    def test_measurement_loader_rejects_an_ensemble_fixture(self, tmp_path):
+        # an RCS2 header over a payload of exactly 2*r0*k entries: only the magic is wrong
+        path = tmp_path / "meas.bin"
+        path.write_bytes(struct.pack("<4sQQQQ", b"RCS2", 8, 5, 2, 77) + np.ones(20).tobytes())
+        with pytest.raises(ValueError, match="magic"):
+            load_measurements(path)
 
     def test_partial_float_payload_rejected(self, tmp_path):
         _, ens = self._ensemble()
@@ -917,6 +933,12 @@ class TestFixtureFormat:
         _overwrite_entry(path, entry, math.inf)
         with pytest.raises(ValueError, match="non-finite"):
             load_ensemble(path)
+
+
+def _write_rcs1(path, ens):
+    """An RCS1 fixture of ``ens``, written by hand: the header, then the (k, n) matrices."""
+    header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
+    path.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
 
 
 def _overwrite_entry(path, index, value):
