@@ -1,18 +1,23 @@
 """Numeric primitives shared by every other module.
 
 Seed derivation, seedable Gaussian sampling on counter-based streams and
-selection-based medians.  Everything here is a pure function of its
+sort-based medians.  Everything here is a pure function of its
 inputs: the same seeds always reproduce the same values.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# one Philox per thread, reset to a stream's key whenever no Generator holds it
+_philox = threading.local()
 
 
 class DimensionMismatchError(ValueError):
@@ -63,12 +68,22 @@ class GaussianSource:
     def generator(self) -> np.random.Generator:
         """A fresh numpy Generator at the start of this stream.
 
-        ``Generator(Philox(key=[master_seed, stream_index]))``, counter at
-        zero: Philox keyed with the two identity words, both already
-        reduced to 64 bits.
+        It draws the values of ``Generator(Philox(key=[master_seed,
+        stream_index]))`` from this thread's Philox, reset to that keyed
+        state, so opening a stream draws no OS entropy.  A Philox is built
+        only for a thread's first stream, or while an earlier Generator
+        still holds the last one, so two Generators never share a state.
         """
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bitgen = getattr(_philox, "bitgen", None)
+        if bitgen is None or sys.getrefcount(bitgen) > _philox.idle_refs:
+            bitgen = _philox.bitgen = np.random.Philox()
+            # counted before any Generator holds it, as the test above counts
+            _philox.idle_refs = sys.getrefcount(bitgen)
+        # the state Philox(key=...) starts in: counter at zero, buffer empty
+        state = {"counter": (0,) * 4, "key": (self.master_seed, self.stream_index)}
+        bitgen.state = {"bit_generator": "Philox", "state": state, "buffer": (0,) * 4,
+                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(bitgen)
 
 
 def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: float) -> np.ndarray:
@@ -101,7 +116,7 @@ def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: flo
 
 
 def median(values, axis: int | None = None):
-    """Median by expected-linear selection (introselect), not a full sort.
+    """Median from a sort along the axis.
 
     Odd length gives the exact middle order statistic; even length gives
     the arithmetic mean of the two middle order statistics.  With an
@@ -116,13 +131,9 @@ def median(values, axis: int | None = None):
     if scalar:
         a = a.ravel()
         axis = 0
-    length = a.shape[axis]
-    mid = length // 2
-    if length % 2:
-        part = np.partition(a, mid, axis=axis)
-        out = np.take(part, mid, axis=axis)
-    else:
-        part = np.partition(a, [mid - 1, mid], axis=axis)
-        out = 0.5 * (np.take(part, mid - 1, axis=axis) + np.take(part, mid, axis=axis))
+    ordered = np.sort(a, axis=axis)
+    mid = a.shape[axis] // 2
+    out = np.take(ordered, mid, axis=axis)
+    if a.shape[axis] % 2 == 0:
+        out = 0.5 * (np.take(ordered, mid - 1, axis=axis) + out)
     return float(out) if scalar else out
-

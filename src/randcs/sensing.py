@@ -242,8 +242,12 @@ def _sampled(matrices: LazyMatrices, r: int, cols: np.ndarray) -> Iterator[np.nd
 
 
 def _is_finite_matrix(A: np.ndarray) -> bool:
-    # min and max propagate NaN and hold any infinity, without an A-sized temporary
-    return A.size == 0 or bool(np.isfinite(A.min()) and np.isfinite(A.max()))
+    # a finite sum settles it in one pass; a sum that overflowed or met an inf
+    # or NaN falls back to min and max, which propagate NaN and hold any infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        if A.size == 0 or np.isfinite(A.sum()):
+            return True
+    return bool(np.isfinite(A.min()) and np.isfinite(A.max()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,6 +100,16 @@ class TestSignQuantize:
         with pytest.raises(ValueError, match="finite"):
             sign_quantize(A, bad_z)
 
+    def test_finite_matrix_with_overflowing_sum_accepted(self):
+        # off the support, entries of +-1e308 overflow the sum the finiteness
+        # check takes first; the matrix is finite, so its signs still come out
+        A = np.ones((3, 4))
+        A[:, 1:] = 1e308
+        A[1, 2] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(A.sum())
+        assert np.array_equal(sign_quantize(A, np.array([1.0, 0.0, 0.0, 0.0])), [1.0, 1.0, 1.0])
+
 
 class TestOmp:
     @pytest.mark.parametrize("k, n", [(1438, 700), (1000, 257), (3, 2)])
@@ -270,6 +280,19 @@ class TestBihtFamily:
         A[5, min(set(range(A.shape[1])) - z.support)] = bad
         with pytest.raises(ValueError, match="finite"):
             solver(A, signs, 4)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    def test_finite_matrix_with_overflowing_sum_accepted(self, solver):
+        # one off-support column of 1e308 overflows the sum the finiteness
+        # check takes first; the matrix is finite, so the solver runs
+        A, z, signs = self._instance()
+        A = A.copy()
+        A[:, min(set(range(A.shape[1])) - z.support)] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(A.sum())
+        with np.errstate(all="ignore"):
+            result = solver(A, signs, 4, max_iters=3)
+        assert len(result.support) <= 4
 
     @pytest.mark.parametrize("solver", [biht, nbiht])
     def test_non_finite_signs_rejected(self, solver):

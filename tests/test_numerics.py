@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +51,67 @@ class TestGaussianSource:
         expected = np.random.Generator(bg).standard_normal(1000)
         got = GaussianSource(seed, stream).generator().standard_normal(1000)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_live_generators_on_one_thread_keep_their_streams(self):
+        # drawn alternately, each generator continues its own stream
+        first = GaussianSource(31, 1).generator()
+        second = GaussianSource(31, 2).generator()
+        draws = {1: [], 2: []}
+        for _ in range(3):
+            draws[1].append(first.standard_normal(5))
+            draws[2].append(second.standard_normal(5))
+        for stream, parts in draws.items():
+            key = np.array([31, stream], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(15)
+            assert np.array_equal(np.concatenate(parts), expected)
+
+    def test_streams_on_threads_equal_serial_streams(self):
+        def draw(stream):
+            # each generator is dropped before the next is opened, as the program does
+            sources = [GaussianSource(41, stream + 10 * i) for i in range(50)]
+            return [source.generator().standard_normal(200) for source in sources]
+
+        serial = [draw(t) for t in range(4)]
+        threaded = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(t):
+            start.wait()
+            threaded[t] = draw(t)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got, expected in zip(threaded, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_philox_built_once_per_thread(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        GaussianSource(5).generator().standard_normal(3)
+        built.clear()
+        for stream in range(100):
+            GaussianSource(5).stream(stream).generator().standard_normal(3)
+        assert built == []
+        # a generator still alive holds the thread's Philox, so the next is new
+        held = GaussianSource(5).generator()
+        GaussianSource(5).stream(1).generator()
+        assert built == [1]
+        del held
 
     def test_negative_seed_normalized(self):
         assert GaussianSource(-1).master_seed == 2**64 - 1
@@ -138,6 +201,13 @@ class TestMedian:
         byaxis = median(V, axis=0)
         for j in range(12):
             assert byaxis[j] == median(V[:, j])
+
+    @pytest.mark.parametrize("rounds", range(1, 13))
+    def test_axis_matches_numpy_median(self, rounds):
+        rng = np.random.Generator(np.random.Philox(key=rounds))
+        ties = rng.integers(0, 3, (rounds, 300)).astype(float)
+        for V in (rng.standard_normal((rounds, 300)), ties):
+            assert np.array_equal(median(V, axis=0), np.median(V, axis=0))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_matches_full_sort_oracle(self, values):

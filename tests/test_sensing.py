@@ -248,6 +248,15 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError, match="matrix 3 has a non-finite entry"):
             SensingEnsemble(n=4, k=2, r0=2, master_seed=0, matrices=tuple(matrices))
 
+    def test_finite_matrix_with_overflowing_sum_accepted(self):
+        # every entry is finite, but the sum the check takes first overflows
+        matrices = [np.ones((2, 4)) for _ in range(4)]
+        matrices[3][:, 1:] = [[1e308, -1e308, 1e308], [1e308, -1e308, 1e308]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(matrices[3].sum())
+        ens = SensingEnsemble(n=4, k=2, r0=2, master_seed=0, matrices=tuple(matrices))
+        assert ens.matrices[3][0, 1] == 1e308
+
 
 class TestMeasure:
     def test_zero_signal_zero_noise_gives_zero(self):
