@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import PurePath
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .sensing import (
     RecoveryConfig,
     Signal,
     _add_noise,
+    _noise_sd,
     _signal_product,
     build_ensemble,
     generate_binary_signal,
@@ -177,12 +179,13 @@ def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryCo
 
 def _rand_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
     ensemble = build_ensemble(config)
-    return ensemble, measure(ensemble, signal, grid.sigma_w, grid.noise_mode, config.master_seed)
+    measurements = measure(ensemble, signal, config.sigma_w, config.noise_mode, config.master_seed)
+    return ensemble, measurements
 
 
 def _omp_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
-    Az = _signal_product(A1, signal.values)
-    b1 = _add_noise(Az, 0, config.r0, grid.sigma_w, grid.noise_mode, config.master_seed)
+    noise_sd = _noise_sd(config.sigma_w, config.noise_mode, config.k)
+    b1 = _add_noise(_signal_product(A1, signal.values), 0, config.r0, noise_sd, config.master_seed)
     return A1, b1, config.s
 
 
@@ -410,13 +413,13 @@ def load_results(path) -> list[TrialResult]:
 def summary_csv_path(path) -> str:
     """Default CSV-twin location for a summary table path.
 
-    Swaps the final suffix for ``.csv``; appends ``.csv`` when the path
-    already ends in it.
+    Swaps the file name's final suffix for ``.csv``; appends ``.csv`` when
+    that suffix is ``.csv`` or there is none, as for a dotfile such as
+    ``.summary``.
     """
     text = str(path)
-    if text.endswith(".csv") or "." not in text.rsplit("/", 1)[-1]:
-        return text + ".csv"
-    return text.rsplit(".", 1)[0] + ".csv"
+    suffix = PurePath(text).suffix
+    return (text if suffix in ("", ".csv") else text[: -len(suffix)]) + ".csv"
 
 
 def emit_summary(rows: Sequence[SummaryRow], path, csv_path=None) -> None:

@@ -15,22 +15,24 @@ it is one pass over its rounds on one process-wide pool of
 ``os.cpu_count()`` threads.  A round that needs its whole matrix runs in a
 lane, a pool thread that owns one (n, k) buffer for the pass, samples the
 round into it and uses it at once.  Rounds [r0, 2*r0) of a measurement feed
-only the noise floor, so they are streamed: drawn a block of columns at a
-time, their support columns summed into A z as they pass, and never held
-whole.  A pass samples each round once, keeps ceil(P/2) lanes on a pool of
-P threads when it streams and P when it does not, and frees its buffers
-when it returns; seeded passes run one at a time, so the process holds at
-most one matrix per lane however many threads call in.  Because every
-round has its own stream, and OpenBLAS is held at one thread during a
-pass, the values do not depend on the thread count.
+only the noise floor, so they are streamed: handed over as blocks of
+columns, each drawn when it is asked for, and never held whole.  A pass
+visits rounds and knows nothing of the signal.  It samples each round once,
+keeps ceil(P/2) lanes on a pool of P threads when it streams and P when it
+does not, and frees its buffers when it returns; seeded passes run one at
+a time, so the process holds at most one matrix per lane however many
+threads call in.  Because every round has its own stream, and OpenBLAS is
+held at one thread during a pass, the values do not depend on the thread
+count.
 
-A measurement A z sums z_i * A[:, i] over the signal's support alone, one
-term at a time in ascending i and without BLAS, so b[r] is the same bit for
-bit for a seeded and a stored ensemble, at any thread count.  An ``RCS2``
-fixture stores each matrix as its (n, k) sampling buffer, so a loaded
-matrix is column-major as a seeded one is and BLAS multiplies both with one
-kernel: at one BLAS thread, A^T b is the same bit for bit.  An ``RCS1``
-fixture (row-major matrices, still read) can differ there in the last bit.
+:func:`measure` is the one place that forms b = A z + w.  A z sums
+z_i * A[:, i] over the signal's support alone, one term at a time in
+ascending i and without BLAS, so b[r] is the same bit for bit for a seeded
+and a stored ensemble, at any thread count.  An ``RCS2`` fixture stores
+each matrix as its (n, k) sampling buffer, so a loaded matrix is
+column-major as a seeded one is and BLAS multiplies both with one kernel:
+at one BLAS thread, A^T b is the same bit for bit.  An ``RCS1`` fixture
+(row-major matrices, still read) can differ there in the last bit.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, GaussianSource, sample_gaussian_matrix
+from .numerics import _MASK64, DimensionMismatchError, GaussianSource, sample_gaussian_matrix
 
 SIGNAL_STREAM = 0
 
@@ -64,8 +66,8 @@ _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
 
-# support rows summed per block by _signal_product: bounds its temporary to
-# this many rows of k doubles, whatever the support size
+# support columns gathered at a time by _sum_columns: bounds its temporary
+# to this many rows of k doubles, whatever the support size
 _PRODUCT_BLOCK_ROWS = 256
 # columns of A drawn per block by a streamed round: bounds its block to
 # this many rows of k doubles, whatever the support
@@ -152,10 +154,14 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> Sign
     return Signal(values=values, support=frozenset(int(i) for i in chosen), sparsity=s)
 
 
-def _check_noise_level(sigma_w: float) -> None:
+def _noise_sd(sigma_w: float, noise_mode: str, k: int) -> float:
+    """Per-coordinate noise standard deviation: sigma_w, or sigma_w / sqrt(k) in experiment mode."""
     # NaN and inf fail every comparison, so test finiteness explicitly
     if not (math.isfinite(sigma_w) and sigma_w >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {sigma_w}")
+    if noise_mode not in NOISE_MODES:
+        raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
+    return sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,7 @@ class RecoveryConfig:
     Unset ``k`` defaults to ceil(2 * s * ln n); unset ``r0`` defaults to
     ceil(ln n).  ``noise_mode`` selects the per-coordinate noise variance:
     ``"theory"`` uses sigma_w**2, ``"experiment"`` uses sigma_w**2 / k.
+    ``master_seed`` is kept as its 64-bit value, as the streams take it.
     """
 
     n: int
@@ -184,16 +191,13 @@ class RecoveryConfig:
             object.__setattr__(self, "r0", default_round_count(self.n))
         if self.k < 1 or self.r0 < 1:
             raise ValueError(f"need k >= 1 and r0 >= 1, got k={self.k}, r0={self.r0}")
-        _check_noise_level(self.sigma_w)
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
+        _noise_sd(self.sigma_w, self.noise_mode, self.k)
+        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
 
     @property
     def noise_variance(self) -> float:
         """Per-coordinate measurement-noise variance under the configured convention."""
-        if self.noise_mode == "theory":
-            return self.sigma_w**2
-        return self.sigma_w**2 / self.k
+        return _noise_sd(self.sigma_w, self.noise_mode, self.k) ** 2
 
 
 class LazyMatrices(Sequence):
@@ -296,23 +300,24 @@ def _each_round(
     ensemble: SensingEnsemble,
     rounds: Iterable[int],
     work: Callable[[int, np.ndarray], None],
-    z: np.ndarray | None = None,
     streamed: Iterable[int] = (),
-    take: Callable[[int, np.ndarray], None] | None = None,
+    take: Callable[[int, Iterable[np.ndarray]], None] | None = None,
 ) -> None:
-    """One pass: ``work(r, A)`` for each full round, ``take(r, A z)`` for each streamed round.
+    """One pass: ``work(r, A)`` for each full round, ``take(r, blocks)`` for each streamed round.
+
+    ``blocks`` are A's columns, as consecutive row blocks of its (n, k)
+    buffer: the single block ``A.T`` for a stored ensemble, and for a seeded
+    one ``_STREAM_BLOCK_ROWS`` rows at a time, each drawn when it is asked
+    for and held until the next is.
 
     A stored ensemble is visited in order on the caller's thread.  A seeded
     one runs on the P threads of the shared pool.  Its full rounds run in
     lanes, each owning one (n, k) buffer for the whole pass, so ``work``
     must be done with A when it returns: ceil(P/2) lanes when the pass
     streams, P lanes when it does not, and a lane that runs out of full
-    rounds streams.  A streamed round draws its matrix ``_STREAM_BLOCK_ROWS``
-    columns at a time into a small block (a lane's buffer lends its first
-    rows), adds the support's columns to A z as they pass and stops after
-    the block that holds max(supp(z)); with an empty support it draws
-    nothing.  So a pass holds at most one buffer per lane, and drops them
-    all when it returns.
+    rounds streams.  A streamed round is drawn into a small block (a lane's
+    buffer lends its first rows).  So a pass holds at most one buffer per
+    lane, and drops them all when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
@@ -328,14 +333,17 @@ def _each_round(
         for r in rounds:
             work(r, matrices[r])
         for r in streamed:
-            take(r, _signal_product(matrices[r], z))
+            take(r, (matrices[r].T,))
         return
     n, k = matrices._n, matrices._k
-    support = None if z is None else np.flatnonzero(z)
     # rounds not yet taken by a lane; deque.popleft is atomic
     full, rest = deque(rounds), deque(streamed)
 
     def lane(owns_buffer: bool) -> None:
+        def blocks(r: int) -> Iterator[np.ndarray]:
+            # a generator, so the stream opens only when take asks for a block
+            yield from _sampled(matrices, r, block)
+
         try:
             cols = None
             while owns_buffer and (r := _pop(full)) is not None:
@@ -346,7 +354,7 @@ def _each_round(
             while (r := _pop(rest)) is not None:
                 if block is None:
                     block = np.empty((min(_STREAM_BLOCK_ROWS, n), k))
-                take(r, _streamed_product(matrices, r, block, z, support))
+                take(r, blocks(r))
         except BaseException:
             # the other lanes stop after their current round
             full.clear()
@@ -398,62 +406,52 @@ def _pop(rounds: deque) -> int | None:
         return None
 
 
-def _streamed_product(
-    matrices: LazyMatrices, r: int, block: np.ndarray, z: np.ndarray, support: np.ndarray
+def _sum_columns(
+    blocks: Iterable[np.ndarray], z: np.ndarray, support: np.ndarray, k: int
 ) -> np.ndarray:
-    """A_r z as :func:`_signal_product` sums it, with A_r drawn ``len(block)`` columns at a time."""
-    Az = np.zeros(matrices._k)
-    if support.size == 0:
-        return Az
-    start = 0
-    for rows in _sampled(matrices, r, block):
-        stop = start + len(rows)
-        lo, hi = np.searchsorted(support, (start, stop))
-        Az = _add_support_rows(Az, rows, z[start:stop], support[lo:hi] - start)
-        if hi == support.size:
-            break
-        start = stop
-    return Az
+    """The sum of z_i * A[:, i] over the ascending ``support``, one term at a time.
 
-
-def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A @ z as the sum of z_i * A[:, i] over i in supp(z), one term at a time in ascending i.
-
-    No BLAS call is made, so the bits do not depend on A's memory layout or
-    on the BLAS thread count; an empty support gives zeros(k).
+    ``blocks`` are the rows of A's (n, k) buffer in consecutive blocks (see
+    :func:`_each_round`).  No block is taken after the one that holds
+    max(support), none at all for an empty support, and no BLAS call is
+    made, so the bits depend neither on the blocks nor on A's memory layout
+    nor on the BLAS thread count.  An empty support gives zeros(k).
     """
-    return _add_support_rows(np.zeros(A.shape[0]), A.T, z, np.flatnonzero(z))
-
-
-def _add_support_rows(
-    out: np.ndarray, columns: np.ndarray, z: np.ndarray, support: np.ndarray
-) -> np.ndarray:
-    """``out`` plus z_i * columns[i] for i in the ascending ``support``, one term at a time."""
-    for start in range(0, support.size, _PRODUCT_BLOCK_ROWS):
-        idx = support[start : start + _PRODUCT_BLOCK_ROWS]
-        # C-order (len(idx), k) for a row- and a column-major A alike
-        rows = columns[idx] * z[idx, None]
-        # the running sum enters as the first term, so the order stays ascending
-        rows[0] += out
-        if out.size == 1:
-            # a reduce along a single column would sum pairwise, not in order
-            np.add.accumulate(rows, axis=0, out=rows)
-            out = rows[-1].copy()
-        else:
-            # row by row: each row is added in full to the sum of those before it
-            out = np.add.reduce(rows, axis=0)
+    out = np.zeros(k)
+    blocks = iter(blocks)
+    start = lo = 0
+    while lo < support.size:
+        rows = next(blocks)
+        stop = start + len(rows)
+        # a whole matrix, one block at 0, needs neither a search nor a shift
+        hi = support.size if support[-1] < stop else int(np.searchsorted(support, stop))
+        for first in range(lo, hi, _PRODUCT_BLOCK_ROWS):
+            idx = support[first : min(first + _PRODUCT_BLOCK_ROWS, hi)]
+            # C-order (len(idx), k) for a row- and a column-major A alike
+            terms = rows[idx - start if start else idx] * z[idx, None]
+            # the running sum enters as the first term, so the order stays ascending
+            terms[0] += out
+            if k == 1:
+                # a reduce along a single column would sum pairwise, not in order
+                np.add.accumulate(terms, axis=0, out=terms)
+                out = terms[-1].copy()
+            else:
+                # row by row: each row is added in full to the sum of those before it
+                out = np.add.reduce(terms, axis=0)
+        start, lo = stop, hi
     return out
 
 
-def _add_noise(
-    Az: np.ndarray, r: int, r0: int, sigma_w: float, noise_mode: str, noise_seed: int
-) -> np.ndarray:
-    """b[r] = A z + w[r], the noise w[r] drawn from stream 2*r0 + r + 1 of ``noise_seed``."""
-    k = Az.shape[0]
-    noise_sd = sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
+def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z as :func:`_sum_columns` sums it over supp(z)."""
+    return _sum_columns((A.T,), z, np.flatnonzero(z), A.shape[0])
+
+
+def _add_noise(Az: np.ndarray, r: int, r0: int, noise_sd: float, noise_seed: int) -> np.ndarray:
+    """b[r] = A z + w[r], w[r] being ``noise_sd`` times stream 2*r0 + r + 1 of ``noise_seed``."""
     if noise_sd > 0:
-        noise = GaussianSource(noise_seed).stream(2 * r0 + r + 1).generator().standard_normal(k)
-        return Az + noise_sd * noise
+        noise = GaussianSource(noise_seed).stream(2 * r0 + r + 1).generator()
+        return Az + noise_sd * noise.standard_normal(Az.shape[0])
     return Az
 
 
@@ -510,9 +508,7 @@ def measure(
     them: their matrices are drawn only up to the largest support index, a
     block of columns at a time, and never held whole.
     """
-    if noise_mode not in NOISE_MODES:
-        raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
-    _check_noise_level(sigma_w)
+    noise_sd = _noise_sd(sigma_w, noise_mode, ensemble.k)
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
     if zv.shape != (ensemble.n,):
         raise DimensionMismatchError(
@@ -520,19 +516,20 @@ def measure(
         )
     if not np.isfinite(zv).all():
         raise ValueError("signal must be finite")
-    r0 = ensemble.r0
-    vectors = np.empty((2 * r0, ensemble.k))
+    r0, k = ensemble.r0, ensemble.k
+    support = np.flatnonzero(zv)
+    vectors = np.empty((2 * r0, k))
     projections = np.empty((r0, ensemble.n))
 
-    def noisy(r: int, Az: np.ndarray) -> None:
-        vectors[r] = _add_noise(Az, r, r0, sigma_w, noise_mode, noise_seed)
+    def noisy(r: int, blocks: Iterable[np.ndarray]) -> None:
+        vectors[r] = _add_noise(_sum_columns(blocks, zv, support, k), r, r0, noise_sd, noise_seed)
 
     def measure_and_project(r: int, A: np.ndarray) -> None:
-        noisy(r, _signal_product(A, zv))
+        noisy(r, (A.T,))
         projections[r] = A.T @ vectors[r]
 
     # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
-    _each_round(ensemble, range(r0), measure_and_project, zv, range(r0, 2 * r0), noisy)
+    _each_round(ensemble, range(r0), measure_and_project, range(r0, 2 * r0), noisy)
     vectors.flags.writeable = projections.flags.writeable = False
     measurements = MeasurementEnsemble(
         vectors=vectors,
@@ -565,7 +562,7 @@ def _back_project(
 
 def _write_fixture(path, magic: bytes, n: int, k: int, r0: int, seed: int, blocks=()) -> None:
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, n, k, r0, seed & ((1 << 64) - 1)))
+        fh.write(_HEADER.pack(magic, n, k, r0, seed & _MASK64))
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 

@@ -19,6 +19,7 @@ from randcs.harness import (
     run_grid,
     run_trial,
     summarize,
+    summary_csv_path,
     trial_config,
 )
 from randcs.baselines import biht, nbiht, omp, sign_quantize
@@ -454,3 +455,18 @@ class TestSummaryEmission:
         emit_summary(rows, path)
         assert path.read_text().splitlines()[1].endswith("-")
         assert tmp_path.joinpath("summary.csv").read_text().splitlines()[1].endswith(",")
+
+    @pytest.mark.parametrize(
+        "path, twin",
+        [
+            ("summary.txt", "summary.csv"),
+            ("summary", "summary.csv"),
+            ("summary.csv", "summary.csv.csv"),
+            ("a.b/c.txt", "a.b/c.csv"),
+            # a dotfile has no suffix, so its name is kept whole
+            (".summary", ".summary.csv"),
+            ("out.d/.summary", "out.d/.summary.csv"),
+        ],
+    )
+    def test_csv_twin_path(self, path, twin):
+        assert summary_csv_path(path) == twin

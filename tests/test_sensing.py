@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randcs.sensing as sensing
 from randcs.numerics import GaussianSource, sample_gaussian_matrix
@@ -701,6 +703,55 @@ class TestSignalProduct:
                 assert np.array_equal(meas.vectors[r], _support_sum(ens.matrices[r], z))
 
 
+class TestSumColumns:
+    """The support sum over A's columns in any split into row blocks of its (n, k) buffer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 5]),
+        n=st.integers(1, 700),
+        data=st.data(),
+    )
+    def test_any_block_split_equals_whole_matrix(self, k, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="even blocks"):
+            size = data.draw(st.integers(1, n), label="block size")
+            cuts = list(range(size, n, size))  # the last block may be short
+        else:
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1))), label="cuts") - {n})
+        edges = [0, *cuts, n]
+        kind = data.draw(st.sampled_from(["edges", "random", "above-gather", "empty"]), label="kind")
+        if kind == "edges":
+            # the first and last column of every block
+            support = sorted({i for c in edges for i in (c - 1, c) if 0 <= i < n})
+        elif kind == "random":
+            support = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        elif kind == "above-gather":
+            above = min(n, sensing._PRODUCT_BLOCK_ROWS + 1 + int(rng.integers(0, 300)))
+            support = sorted(rng.choice(n, size=above, replace=False))
+        else:
+            support = []
+        support = np.asarray(support, dtype=np.intp)
+        z = np.zeros(n)
+        z[support] = _spread_values(support, len(support))
+        A = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-4, 5, size=n)
+        if data.draw(st.booleans(), label="column-major"):
+            A = np.asfortranarray(A)
+        taken = []
+
+        def blocks():
+            for lo, hi in zip(edges, edges[1:]):
+                taken.append(lo)
+                yield A.T[lo:hi]
+
+        got = sensing._sum_columns(blocks(), z, support, k)
+        whole = sensing._sum_columns((A.T,), z, support, k)
+        assert got.tobytes() == whole.tobytes() == _support_sum(A, z).tobytes()
+        # no block after the one that holds max(support), none for an empty support
+        needed = 0 if support.size == 0 else int(np.searchsorted(edges, support[-1], "right"))
+        assert len(taken) == needed
+
+
 def _spread_values(support, seed):
     """Nonzero values over nine decades at ``support``, so any other summation order shows."""
     rng = np.random.default_rng(seed)
@@ -834,6 +885,17 @@ class TestFixtureFormat:
         dump_ensemble(ens, path)
         back = load_ensemble(path)
         assert (back.n, back.k, back.r0, back.master_seed) == (8, 5, 2, 77)
+        assert all(np.array_equal(a, b) for a, b in zip(back.matrices, ens.matrices))
+
+    def test_negative_seed_round_trip(self, tmp_path):
+        # the configuration keeps the 64-bit seed that the streams and the header take
+        cfg = RecoveryConfig(n=8, s=2, k=5, r0=2, master_seed=-1)
+        assert cfg.master_seed == 2**64 - 1
+        ens = build_ensemble(cfg)
+        path = tmp_path / "ens.bin"
+        dump_ensemble(ens, path)
+        back = load_ensemble(path)
+        assert back.master_seed == cfg.master_seed == ens.master_seed
         assert all(np.array_equal(a, b) for a, b in zip(back.matrices, ens.matrices))
 
     def test_measurements_round_trip(self, tmp_path):
