@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import median
+from .numerics import DimensionMismatchError, median
 from .sensing import MeasurementEnsemble, SensingEnsemble, _back_project
 
 
@@ -52,6 +52,12 @@ def _check_rounds(rounds: range, available: int) -> None:
         )
 
 
+def _check_fits(ensemble: SensingEnsemble, measurements: MeasurementEnsemble) -> None:
+    theirs, ours = ((e.n, e.k, e.r0) for e in (measurements, ensemble))
+    if theirs != ours:
+        raise DimensionMismatchError(f"measurements of (n, k, r0) = {theirs} do not fit {ours}")
+
+
 def back_project(
     ensemble: SensingEnsemble, measurements: MeasurementEnsemble, rounds: range
 ) -> np.ndarray:
@@ -59,12 +65,13 @@ def back_project(
 
     For rounds in [0, r0) of measurements that
     :func:`~randcs.sensing.measure` took through this same ensemble, these
-    are the products it kept, and nothing is computed again.  Any other
-    request is one pass over the rounds, which samples the matrices of a
-    seeded ensemble in parallel on the shared sampling pool, at most one
-    per thread at a time.
+    are the products it kept.  Any other request is one batched product over
+    a stored ensemble, or one pass that samples a seeded one's matrices on
+    the shared sampling pool.  Measurements of another (n, k, r0) raise
+    :class:`~randcs.numerics.DimensionMismatchError`.
     """
-    _check_rounds(rounds, min(len(ensemble.matrices), measurements.vectors.shape[0]))
+    _check_fits(ensemble, measurements)
+    _check_rounds(rounds, 2 * ensemble.r0)
     return _back_project(ensemble, measurements, rounds)
 
 
@@ -132,6 +139,7 @@ def determine_support(
     measurements) returns the empty set, since the inclusive comparison
     would otherwise hold vacuously everywhere.
     """
+    _check_fits(ensemble, measurements)
     r0 = ensemble.r0
     floor = estimate_noise_floor(measurements, range(r0, 2 * r0), ensemble.k)
     if floor.sigma2 == 0.0:

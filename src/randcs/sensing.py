@@ -28,11 +28,12 @@ count.
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
 ascending i and without BLAS, so b[r] is the same bit for bit for a seeded
-and a stored ensemble, at any thread count.  An ``RCS2`` fixture stores
-each matrix as its (n, k) sampling buffer, so a loaded matrix is
-column-major as a seeded one is and BLAS multiplies both with one kernel:
-at one BLAS thread, A^T b is the same bit for bit.  An ``RCS1`` fixture
-(row-major matrices, still read) can differ there in the last bit.
+and a stored ensemble, at any thread count.  A stored ensemble is one
+C-contiguous (2*r0, n, k) stack of sampling buffers, ``matrices[r]`` being
+its view ``stack[r].T``: an ``RCS2`` fixture as read, an ``RCS1`` one
+(row-major, still read) or a hand-built sequence copied in once.  So every
+matrix is column-major, and at one BLAS thread A^T b is the same bit for
+bit too.  A stored measurement is one support gather and one batched A^T b.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
 
-# support columns gathered at a time by _sum_columns: bounds its temporary
-# to this many rows of k doubles, whatever the support size
+# rows of k doubles gathered at a time by _sum_columns over all the rounds it
+# sums (one column a round past that many rounds), whatever the support size
 _PRODUCT_BLOCK_ROWS = 256
 # columns of A drawn per block by a streamed round: bounds its block to
 # this many rows of k doubles, whatever the support
@@ -258,10 +259,10 @@ def _is_finite_matrix(A: np.ndarray) -> bool:
 class SensingEnsemble:
     """2*r0 sensing matrices, each k-by-n with N(0, 1/k) entries.
 
-    ``matrices[r]`` is reproducible from (master_seed, r) alone.  The
-    sequence is either stored (a tuple of arrays, given explicitly or read
-    from a fixture file) or, for an ensemble from :func:`build_ensemble`, a
-    :class:`LazyMatrices` that holds no matrix.
+    ``matrices[r]`` is reproducible from (master_seed, r) alone.  For an
+    ensemble from :func:`build_ensemble` it is a :class:`LazyMatrices` that
+    holds no matrix.  A stored ensemble copies the (k, n) matrices once into
+    its stack (see the module) and keeps ``matrices`` as views of it.
     """
 
     n: int
@@ -269,6 +270,8 @@ class SensingEnsemble:
     r0: int
     master_seed: int
     matrices: Sequence[np.ndarray]
+    # a stored ensemble's C-contiguous (2*r0, n, k) stack; None for a seeded one
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.matrices) != 2 * self.r0:
@@ -276,12 +279,21 @@ class SensingEnsemble:
                 f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, "
                 f"got {len(self.matrices)}"
             )
+        if isinstance(self.matrices, LazyMatrices):
+            return
+        if isinstance(m := self.matrices, np.ndarray) and m.shape == (2 * self.r0, self.k, self.n):
+            # a fixture's payload: RCS2 is the stack's transposed view, kept uncopied
+            stack = np.ascontiguousarray(m.transpose(0, 2, 1), dtype=np.float64)
+        else:  # copied once through the stack's (2*r0, k, n) view; another shape raises
+            stack = np.empty((2 * self.r0, self.n, self.k))
+            np.stack(list(self.matrices), out=stack.transpose(0, 2, 1))
         # a measurement sums only the signal's support columns, so an inf or
         # NaN elsewhere would never show in b; refuse it here instead
-        if not isinstance(self.matrices, LazyMatrices):
-            for r, A in enumerate(self.matrices):
-                if not _is_finite_matrix(A):
-                    raise ValueError(f"sensing matrix {r} has a non-finite entry")
+        for r, buffer in enumerate(stack):
+            if not _is_finite_matrix(buffer):
+                raise ValueError(f"sensing matrix {r} has a non-finite entry")
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack.transpose(0, 2, 1)))
 
 
 def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
@@ -306,18 +318,16 @@ def _each_round(
     """One pass: ``work(r, A)`` for each full round, ``take(r, blocks)`` for each streamed round.
 
     ``blocks`` are A's columns, as consecutive row blocks of its (n, k)
-    buffer: the single block ``A.T`` for a stored ensemble, and for a seeded
-    one ``_STREAM_BLOCK_ROWS`` rows at a time, each drawn when it is asked
-    for and held until the next is.
+    buffer, ``_STREAM_BLOCK_ROWS`` rows at a time, each drawn when it is
+    asked for and held until the next is.
 
-    A stored ensemble is visited in order on the caller's thread.  A seeded
-    one runs on the P threads of the shared pool.  Its full rounds run in
-    lanes, each owning one (n, k) buffer for the whole pass, so ``work``
-    must be done with A when it returns: ceil(P/2) lanes when the pass
-    streams, P lanes when it does not, and a lane that runs out of full
-    rounds streams.  A streamed round is drawn into a small block (a lane's
-    buffer lends its first rows).  So a pass holds at most one buffer per
-    lane, and drops them all when it returns.
+    The ensemble is seeded, and the pass runs on the P threads of the shared
+    pool.  Its full rounds run in lanes, each owning one (n, k) buffer for
+    the pass, so ``work`` must be done with A when it returns: ceil(P/2)
+    lanes when the pass streams, P lanes when it does not, and a lane that
+    runs out of full rounds streams.  A streamed round is drawn into a small
+    block (a lane's buffer lends its first rows).  So a pass holds at most
+    one buffer per lane, and drops them all when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
@@ -329,12 +339,6 @@ def _each_round(
     """
     global _sampling_pool
     matrices = ensemble.matrices
-    if not isinstance(matrices, LazyMatrices):
-        for r in rounds:
-            work(r, matrices[r])
-        for r in streamed:
-            take(r, (matrices[r].T,))
-        return
     n, k = matrices._n, matrices._k
     # rounds not yet taken by a lane; deque.popleft is atomic
     full, rest = deque(rounds), deque(streamed)
@@ -412,32 +416,36 @@ def _sum_columns(
     """The sum of z_i * A[:, i] over the ascending ``support``, one term at a time.
 
     ``blocks`` are the rows of A's (n, k) buffer in consecutive blocks (see
-    :func:`_each_round`).  No block is taken after the one that holds
-    max(support), none at all for an empty support, and no BLAS call is
-    made, so the bits depend neither on the blocks nor on A's memory layout
-    nor on the BLAS thread count.  An empty support gives zeros(k).
+    :func:`_each_round`), or one (rounds, n, k) stack summed for all rounds at
+    once.  No block is taken after the one that holds max(support), none at
+    all for an empty support, and no BLAS call is made, so the bits depend
+    neither on the blocks nor on A's memory layout nor on the BLAS thread
+    count.  An empty support gives zeros(k).
     """
     out = np.zeros(k)
     blocks = iter(blocks)
     start = lo = 0
     while lo < support.size:
         rows = next(blocks)
-        stop = start + len(rows)
+        stop = start + rows.shape[-2]
         # a whole matrix, one block at 0, needs neither a search nor a shift
         hi = support.size if support[-1] < stop else int(np.searchsorted(support, stop))
-        for first in range(lo, hi, _PRODUCT_BLOCK_ROWS):
-            idx = support[first : min(first + _PRODUCT_BLOCK_ROWS, hi)]
-            # C-order (len(idx), k) for a row- and a column-major A alike
-            terms = rows[idx - start if start else idx] * z[idx, None]
+        step = max(1, _PRODUCT_BLOCK_ROWS // math.prod(rows.shape[:-2]))
+        dtype = np.result_type(rows, z)
+        for first in range(lo, hi, step):
+            idx = support[first : min(first + step, hi)]
+            # a copy, rows of k contiguous for any A; scaled in place, so no second temporary
+            terms = rows[..., idx - start if start else idx, :].astype(dtype, copy=False)
+            terms *= z[idx, None]
             # the running sum enters as the first term, so the order stays ascending
-            terms[0] += out
+            terms[..., 0, :] += out
             if k == 1:
                 # a reduce along a single column would sum pairwise, not in order
-                np.add.accumulate(terms, axis=0, out=terms)
-                out = terms[-1].copy()
+                np.add.accumulate(terms, axis=-2, out=terms)
+                out = terms[..., -1, :].copy()
             else:
                 # row by row: each row is added in full to the sum of those before it
-                out = np.add.reduce(terms, axis=0)
+                out = np.add.reduce(terms, axis=-2)
         start, lo = stop, hi
     return out
 
@@ -501,12 +509,12 @@ def measure(
     nonzero z_i in ascending i, without BLAS, so b[r] is the same bit for
     bit whether the ensemble is seeded or stored and at any thread count.
 
-    The pass also back-projects rounds [0, r0), v[r] = A[r]^T b[r], while
-    each matrix is at hand, and keeps them for the recovery routines, so no
-    matrix is sampled twice.  The arrays are read-only so they cannot go stale.
-    Rounds [r0, 2*r0) feed only the noise floor, so a seeded ensemble streams
-    them: their matrices are drawn only up to the largest support index, a
-    block of columns at a time, and never held whole.
+    Rounds [0, r0) are also back-projected, v[r] = A[r]^T b[r], and kept for
+    the recovery routines; the arrays are read-only so they cannot go stale.
+    A seeded ensemble's pass back-projects each matrix while it is at hand,
+    and streams rounds [r0, 2*r0), which feed only the noise floor: their
+    matrices are drawn only up to the largest support index, a block of
+    columns at a time, and never held whole.
     """
     noise_sd = _noise_sd(sigma_w, noise_mode, ensemble.k)
     zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
@@ -519,17 +527,23 @@ def measure(
     r0, k = ensemble.r0, ensemble.k
     support = np.flatnonzero(zv)
     vectors = np.empty((2 * r0, k))
-    projections = np.empty((r0, ensemble.n))
+    if (stack := ensemble._stack) is not None:
+        vectors[:] = _sum_columns((stack,), zv, support, k)
+        for r in range(2 * r0):
+            vectors[r] = _add_noise(vectors[r], r, r0, noise_sd, noise_seed)
+        projections = np.matmul(stack[:r0], vectors[:r0, :, None])[..., 0]
+    else:
+        projections = np.empty((r0, ensemble.n))
 
-    def noisy(r: int, blocks: Iterable[np.ndarray]) -> None:
-        vectors[r] = _add_noise(_sum_columns(blocks, zv, support, k), r, r0, noise_sd, noise_seed)
+        def noisy(r: int, cols: Iterable[np.ndarray]) -> None:
+            vectors[r] = _add_noise(_sum_columns(cols, zv, support, k), r, r0, noise_sd, noise_seed)
 
-    def measure_and_project(r: int, A: np.ndarray) -> None:
-        noisy(r, (A.T,))
-        projections[r] = A.T @ vectors[r]
+        def measure_and_project(r: int, A: np.ndarray) -> None:
+            noisy(r, (A.T,))
+            projections[r] = A.T @ vectors[r]
 
-    # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
-    _each_round(ensemble, range(r0), measure_and_project, range(r0, 2 * r0), noisy)
+        # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
+        _each_round(ensemble, range(r0), measure_and_project, range(r0, 2 * r0), noisy)
     vectors.flags.writeable = projections.flags.writeable = False
     measurements = MeasurementEnsemble(
         vectors=vectors,
@@ -547,10 +561,14 @@ def measure(
 def _back_project(
     ensemble: SensingEnsemble, measurements: MeasurementEnsemble, rounds: range
 ) -> np.ndarray:
-    """v[r] = A[r]^T @ b[r] for every (checked) round: kept by :func:`measure`, or one pass."""
+    """v[r] = A[r]^T @ b[r] for every (checked) round: kept, one batched product, or one pass."""
     kept = measurements._projections
     if kept is not None and kept[0]() is ensemble and max(rounds[0], rounds[-1]) < ensemble.r0:
         return kept[1][rounds]
+    if ensemble._stack is not None:
+        # a view of the rounds: indexing by the range itself would copy the matrices
+        picked = slice(rounds.start, None if rounds.stop < 0 else rounds.stop, rounds.step)
+        return np.matmul(ensemble._stack[picked], measurements.vectors[picked, :, None])[..., 0]
     per_round = np.empty((len(rounds), ensemble.n))
 
     def project(r: int, A: np.ndarray) -> None:
@@ -589,11 +607,15 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
 
     Layout: magic ``RCS2`` then n, k, r0, seed as little-endian 64-bit
     fields, followed by the 2*r0 matrices as float64 (n, k) sampling
-    buffers, row i of buffer r being column i of matrix r.  Each seeded
-    round is written from its lane buffer as the pass reaches it, uncopied.
+    buffers, row i of buffer r being column i of matrix r.  A stored
+    ensemble's stack is written as it is; each seeded round is written from
+    its lane buffer as the pass reaches it, uncopied.
     """
-    n, k = ensemble.n, ensemble.k
-    _write_fixture(path, _ENSEMBLE_MAGIC, n, k, ensemble.r0, ensemble.master_seed)
+    n, k, stack = ensemble.n, ensemble.k, ensemble._stack
+    stored = () if stack is None else (stack,)
+    _write_fixture(path, _ENSEMBLE_MAGIC, n, k, ensemble.r0, ensemble.master_seed, stored)
+    if stack is not None:
+        return
 
     def write_round(r: int, A: np.ndarray) -> None:
         with open(path, "r+b") as fh:
@@ -606,8 +628,8 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
 def load_ensemble(path) -> SensingEnsemble:
     """Read an ensemble fixture written by :func:`dump_ensemble`, or an older RCS1 one.
 
-    An RCS2 matrix is the transposed view of its (n, k) buffer, laid out as a
-    seeded round is; RCS1 gives row-major (k, n) matrices (see the module).
+    An RCS2 payload is kept as the ensemble's stack, uncopied; an RCS1 one
+    (row-major (k, n) matrices) is copied into a stack once.
     """
     magic, n, k, r0, seed, payload = _read_fixture(path, _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
     expected = 2 * r0 * k * n
@@ -618,7 +640,7 @@ def load_ensemble(path) -> SensingEnsemble:
     else:
         stacked = payload.reshape(2 * r0, k, n)
     try:
-        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=tuple(stacked))
+        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=stacked)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

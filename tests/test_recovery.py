@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from randcs.numerics import GaussianSource, sample_gaussian_matrix
+from randcs.numerics import DimensionMismatchError, GaussianSource, sample_gaussian_matrix
 from randcs.recovery import (
     back_project,
     determine_support,
@@ -28,6 +28,30 @@ def identity_ensemble(n, r0=1, seed=0):
     return SensingEnsemble(
         n=n, k=n, r0=r0, master_seed=seed, matrices=tuple(np.eye(n) for _ in range(2 * r0))
     )
+
+
+def _mismatched(stored, measured, used):
+    """Measurements of a 4-sparse z taken with (n, k, r0) = ``measured``, and an ensemble of ``used``."""
+
+    def ensemble(n, k, r0):
+        seeded = build_ensemble(RecoveryConfig(n=n, s=4, k=k, r0=r0, master_seed=6))
+        if not stored:
+            return seeded
+        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=6, matrices=tuple(seeded.matrices))
+
+    z = generate_binary_signal(6, measured[0], 4)
+    return ensemble(*used), measure(ensemble(*measured), z, 0.1, "experiment", 6)
+
+
+# (n, k, r0) measured with, and used to recover
+_MISMATCHES = {
+    # r0=4 measurements through an r0=2 ensemble gave 24 coordinates for a 4-sparse z
+    "rounds": ((200, 24, 4), (200, 24, 2)),
+    # n=200 measurements through an n=300 ensemble gave (2, 300) back-projections
+    "dimension": ((200, 24, 2), (300, 24, 2)),
+    # a k mismatch surfaced only as numpy's core-dimension error
+    "count": ((200, 24, 2), (200, 30, 2)),
+}
 
 
 def prefix_signal(n, s, magnitude=1.0, seed=None):
@@ -96,6 +120,20 @@ class TestBackProject:
         streamed = back_project(seeded, meas, rounds)
         assert np.array_equal(streamed, back_project(held, meas, rounds))
         assert np.array_equal(streamed[:3], back_project(seeded, meas, range(1, 4)))
+
+    @pytest.mark.parametrize("stored", [False, True])
+    @pytest.mark.parametrize("case", sorted(_MISMATCHES))
+    def test_measurements_of_another_ensemble_rejected(self, case, stored):
+        ens, meas = _mismatched(stored, *_MISMATCHES[case])
+        recoveries = (
+            lambda: back_project(ens, meas, range(2)),
+            lambda: recover_basic(ens, meas),
+            lambda: recover_suppressed(ens, meas),
+            lambda: determine_support(ens, meas),
+        )
+        for recover in recoveries:
+            with pytest.raises(DimensionMismatchError, match="do not fit"):
+                recover()
 
     def test_empty_range_rejected(self):
         ens = identity_ensemble(3)

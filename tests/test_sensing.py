@@ -382,19 +382,25 @@ class TestPass:
     """One pass over the rounds: measure, back-project and dump share it."""
 
     @staticmethod
-    def _seeded_against_stored(tmp_path, n, s, k, seed):
-        # each storage form against its own rounds replayed by definition,
-        # bit for bit, and the two forms against each other byte for byte:
-        # the measurement vectors, since A z is the support sum in one fixed
-        # order, and the kept and unkept back-projections and suppressed
-        # values, since an RCS2 matrix is column-major as a sampled one is
-        # and BLAS, at one thread, multiplies both with the same kernel
+    def _seeded_against_stored(tmp_path, blas_threads, n, s, k, seed, threads=1):
+        # each form -- seeded, RCS2, RCS1 and a hand-built tuple -- against
+        # its own rounds replayed by definition, bit for bit, and the forms
+        # against each other byte for byte: the measurement vectors, since
+        # A z is the support sum in one fixed order, and the kept and unkept
+        # back-projections and suppressed values, since every stored form is
+        # the same column-major stack and BLAS, at one thread, multiplies it
+        # with the seeded pass's kernel; at more threads the stored forms
+        # still agree with each other and with their per-round products
         r0 = 4
         seeded = build_ensemble(RecoveryConfig(n=n, s=s, k=k, r0=r0, master_seed=seed))
-        stored = _dumped(seeded, tmp_path)
+        _write_rcs1(tmp_path / "ens.rcs1", seeded)
+        built = SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=tuple(seeded.matrices))
+        forms = (seeded, _dumped(seeded, tmp_path), load_ensemble(tmp_path / "ens.rcs1"), built)
         z = generate_binary_signal(seed, n, s)
         results = []
-        for ens in (seeded, stored):
+        for ens in forms:
+            # a seeded pass holds BLAS at one thread, so its products are replayed there
+            blas_threads(1 if ens is seeded else threads)
             meas = measure(ens, z, 0.1, "experiment", seed)
             projected = back_project(ens, _unkept(meas), range(2 * r0))
             for r in range(2 * r0):
@@ -411,18 +417,26 @@ class TestPass:
             unkept_values = recover_suppressed(ens, _unkept(meas)).values
             assert np.array_equal(values, unkept_values)
             results.append((meas.vectors, kept, projected, values, unkept_values))
-        for a, b in zip(*results):
-            assert a.tobytes() == b.tobytes()
+        assert all(vectors.tobytes() == results[0][0].tobytes() for vectors, *_ in results)
+        for same in zip(*(results if threads == 1 else results[1:])):
+            assert all(a.tobytes() == same[0].tobytes() for a in same)
 
     def test_seeded_and_stored_ensembles(self, tmp_path, blas_threads):
-        blas_threads(1)
-        self._seeded_against_stored(tmp_path, n=40, s=3, k=24, seed=61)
+        self._seeded_against_stored(tmp_path, blas_threads, n=40, s=3, k=24, seed=61)
 
     def test_seeded_and_stored_ensembles_at_uneven_blas_split(self, tmp_path, blas_threads):
         # at n=2002 OpenBLAS splits A^T b unevenly over two threads; at one
         # thread a stored and a seeded ensemble still agree byte for byte
-        blas_threads(1)
-        self._seeded_against_stored(tmp_path, n=2002, s=20, k=305, seed=41)
+        self._seeded_against_stored(tmp_path, blas_threads, n=2002, s=20, k=305, seed=41)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, s, k", [(4001, 20, 160), (700, 5, 1)])
+    def test_seeded_and_stored_ensembles_at_blas_threads(
+        self, tmp_path, blas_threads, n, s, k, threads
+    ):
+        # another uneven split, and a single measurement per round, whose
+        # batched back-projection multiplies by a 1-vector
+        self._seeded_against_stored(tmp_path, blas_threads, n=n, s=s, k=k, seed=n, threads=threads)
 
     def test_blas_threads_held_at_one_and_restored(self, monkeypatch, blas_threads):
         get = sensing._openblas_threads()[0]
@@ -750,6 +764,44 @@ class TestSumColumns:
         # no block after the one that holds max(support), none for an empty support
         needed = 0 if support.size == 0 else int(np.searchsorted(edges, support[-1], "right"))
         assert len(taken) == needed
+
+    @pytest.mark.parametrize("rounds", [1, 3, 16])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_stack_equals_each_round_summed_alone(self, rounds, k):
+        # a (rounds, n, k) stack summed at once, with supports above 256
+        # entries, ending on the edge of a gather or one past it, and empty
+        n = 700
+        rng = np.random.default_rng(10 * rounds + k)
+        stack = rng.standard_normal((rounds, n, k)) * 10.0 ** rng.integers(-4, 5, size=(1, n, 1))
+        step = sensing._PRODUCT_BLOCK_ROWS // rounds
+        for size in (sensing._PRODUCT_BLOCK_ROWS + 44, 2 * step, 2 * step + 1, 0):
+            support = np.sort(rng.choice(n, size=size, replace=False))
+            z = np.zeros(n)
+            z[support] = _spread_values(support, size)
+            got = np.broadcast_to(sensing._sum_columns((stack,), z, support, k), (rounds, k))
+            expected = np.stack([_support_sum(buffer.T, z) for buffer in stack])
+            assert got.tobytes() == expected.tobytes()
+
+    def test_stack_gathers_within_the_block_rows(self):
+        # all 16 rounds of a 600-entry support would gather 9600 rows at
+        # once; each gather stays within _PRODUCT_BLOCK_ROWS rows of k
+        gathered = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                rows = np.asarray(super().__getitem__(key))
+                gathered.append(rows.size // rows.shape[-1])
+                return rows
+
+        rounds, n, k = 16, 700, 3
+        stack = np.random.default_rng(3).standard_normal((rounds, n, k))
+        support = np.sort(np.random.default_rng(4).choice(n, size=600, replace=False))
+        z = np.zeros(n)
+        z[support] = 1.0
+        got = sensing._sum_columns((stack.view(Recording),), z, support, k)
+        assert got.tobytes() == sensing._sum_columns((stack,), z, support, k).tobytes()
+        assert sum(gathered) == rounds * support.size
+        assert max(gathered) <= sensing._PRODUCT_BLOCK_ROWS
 
 
 def _spread_values(support, seed):
