@@ -1,21 +1,22 @@
 """Optimization-free recovery from a measurement ensemble.
 
-Three procedures, all built from back-projections v[r] = A[r]^T @ b[r]:
+All three procedures read two statistics of a measurement: the
+back-projections v[r] = A[r]^T @ b[r] of rounds [0, r0), and the threshold
+2 * sqrt(sigma2 / k), where sigma2, the median of ||b[r]||**2 over rounds
+[r0, 2*r0), estimates ||z||**2 + k * sigma_w**2 without knowing z or sigma_w.
 
 * ``recover_basic``       -- coordinate-wise medians of the back-projections.
-* ``recover_suppressed``  -- the same, then coordinates below a noise-floor
-  threshold are zeroed.  The threshold 2 * sqrt(sigma2 / k) comes from the
-  median squared norm of the second half of the measurements, which
-  estimates ||z||**2 + k * sigma_w**2 without knowing z or sigma_w.
-* ``determine_support``   -- support only: counts, per coordinate, how many
-  back-projections clear the threshold and keeps coordinates that clear it
-  in at least half the rounds.
+* ``recover_suppressed``  -- the same, with coordinates whose |median| is
+  strictly below the threshold set to zero.
+* ``determine_support``   -- keeps the coordinates with |v[r][i]| >= threshold
+  in at least ceil(r0 / 2) rounds.
 
-The two halves of the ensemble are never mixed: medians use rounds
-[0, r0), the noise floor uses rounds [r0, 2*r0).
+The two halves are never mixed.  Each call checks once that the
+measurements' (n, k, r0) fit the ensemble, and takes the threshold before
+any back-projection.  A zero threshold (all-zero or underflowing second-half
+measurements) clears no coordinate: the support is empty, the suppressed
+values are zero, and no round is back-projected.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -44,18 +45,38 @@ class RecoveredSignal:
 
 
 def _check_rounds(rounds: range, available: int) -> None:
-    if len(rounds) == 0:
-        raise ValueError("round range must be nonempty")
-    if min(rounds[0], rounds[-1]) < 0 or max(rounds[0], rounds[-1]) >= available:
-        raise ValueError(
-            f"round range {rounds} outside the {available} available rounds"
-        )
+    if not rounds or min(rounds[0], rounds[-1]) < 0 or max(rounds[0], rounds[-1]) >= available:
+        raise ValueError(f"round range {rounds} is empty or outside the {available} rounds")
 
 
 def _check_fits(ensemble: SensingEnsemble, measurements: MeasurementEnsemble) -> None:
     theirs, ours = ((e.n, e.k, e.r0) for e in (measurements, ensemble))
     if theirs != ours:
         raise DimensionMismatchError(f"measurements of (n, k, r0) = {theirs} do not fit {ours}")
+
+
+def _noise_floor(vectors: np.ndarray, k: int) -> NoiseFloor:
+    """sigma2, the median of the rows' squared norms, and the threshold 2 * sqrt(sigma2 / k)."""
+    sigma2 = median(np.einsum("rk,rk->r", vectors, vectors))
+    return NoiseFloor(sigma2=sigma2, threshold=2.0 * math.sqrt(sigma2 / k))
+
+
+def _estimate(
+    ensemble: SensingEnsemble, measurements: MeasurementEnsemble, method: str
+) -> RecoveredSignal:
+    """The "basic", "suppressed" or "support" estimate (a 0/1 vote mask) from one measurement."""
+    _check_fits(ensemble, measurements)
+    threshold = _noise_floor(measurements.vectors[ensemble.r0:], ensemble.k).threshold
+    if threshold == 0.0 and method != "basic":
+        values = np.zeros(ensemble.n)  # a zero threshold clears no coordinate
+    elif method == "support":
+        v = _back_project(ensemble, measurements, range(ensemble.r0))
+        values = (np.abs(v) >= threshold).sum(axis=0) >= math.ceil(ensemble.r0 / 2)
+    else:
+        values = median(_back_project(ensemble, measurements, range(ensemble.r0)), axis=0)
+        if method == "suppressed":
+            values = np.where(np.abs(values) < threshold, 0.0, values)
+    return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)), method)
 
 
 def back_project(
@@ -75,11 +96,7 @@ def back_project(
     return _back_project(ensemble, measurements, rounds)
 
 
-def recover_basic(
-    ensemble: SensingEnsemble,
-    measurements: MeasurementEnsemble,
-    r0: int | None = None,
-) -> RecoveredSignal:
+def recover_basic(ensemble: SensingEnsemble, measurements: MeasurementEnsemble) -> RecoveredSignal:
     """Coordinate-wise median of the first r0 back-projections.
 
     Every coordinate of every back-projection is an unbiased estimate of
@@ -87,63 +104,43 @@ def recover_basic(
     concentrates around the truth.  No suppression is applied; the support
     field simply collects the nonzero coordinates.
     """
-    r0 = ensemble.r0 if r0 is None else r0
-    values = median(back_project(ensemble, measurements, range(r0)), axis=0)
-    support = frozenset(int(i) for i in np.flatnonzero(values))
-    return RecoveredSignal(values=values, support=support, method="basic")
+    return _estimate(ensemble, measurements, "basic")
 
 
-def estimate_noise_floor(
-    measurements: MeasurementEnsemble, rounds: range, k: int
-) -> NoiseFloor:
+def estimate_noise_floor(measurements: MeasurementEnsemble, rounds: range, k: int) -> NoiseFloor:
     """Noise-floor estimate from the squared norms of the given measurement rounds.
 
     sigma2 is the median of ||b[r]||**2 over the rounds; the threshold is
-    2 * sqrt(sigma2 / k).
+    2 * sqrt(sigma2 / k).  A ``k`` other than the measurements' own raises
+    :class:`~randcs.numerics.DimensionMismatchError`.
     """
     _check_rounds(rounds, measurements.vectors.shape[0])
-    block = measurements.vectors[rounds]
-    norms = np.einsum("rk,rk->r", block, block)
-    sigma2 = median(norms)
-    return NoiseFloor(sigma2=sigma2, threshold=2.0 * math.sqrt(sigma2 / k))
+    if k != measurements.k:
+        raise DimensionMismatchError(f"k = {k} does not fit measurements of k = {measurements.k}")
+    return _noise_floor(measurements.vectors[rounds], k)
 
 
 def recover_suppressed(
-    ensemble: SensingEnsemble,
-    measurements: MeasurementEnsemble,
+    ensemble: SensingEnsemble, measurements: MeasurementEnsemble
 ) -> RecoveredSignal:
     """Median recovery on the first half, noise-floor suppression from the second.
 
     Coordinates with |value| strictly below the threshold are set to zero.
     The magnitude is compared (not the signed value) so negative signal
-    coordinates survive suppression.  A zero threshold, which occurs only
-    for all-zero measurements, suppresses nothing.
+    coordinates survive suppression.  A zero threshold clears no coordinate,
+    so it sets every value to zero.
     """
-    r0 = ensemble.r0
-    medians = median(back_project(ensemble, measurements, range(r0)), axis=0)
-    floor = estimate_noise_floor(measurements, range(r0, 2 * r0), ensemble.k)
-    values = np.where(np.abs(medians) < floor.threshold, 0.0, medians)
-    support = frozenset(int(i) for i in np.flatnonzero(values))
-    return RecoveredSignal(values=values, support=support, method="suppressed")
+    return _estimate(ensemble, measurements, "suppressed")
 
 
 def determine_support(
-    ensemble: SensingEnsemble,
-    measurements: MeasurementEnsemble,
+    ensemble: SensingEnsemble, measurements: MeasurementEnsemble
 ) -> frozenset[int]:
     """Counting-based support estimate.
 
     A coordinate joins the estimate when |v[r][i]| >= threshold (inclusive)
     in at least ceil(r0 / 2) of the first r0 rounds, with the threshold
-    taken from the second half.  A degenerate zero threshold (all-zero
-    measurements) returns the empty set, since the inclusive comparison
-    would otherwise hold vacuously everywhere.
+    taken from the second half.  A zero threshold clears no coordinate, so
+    it gives the empty set.
     """
-    _check_fits(ensemble, measurements)
-    r0 = ensemble.r0
-    floor = estimate_noise_floor(measurements, range(r0, 2 * r0), ensemble.k)
-    if floor.sigma2 == 0.0:
-        return frozenset()
-    projections = back_project(ensemble, measurements, range(r0))
-    counts = (np.abs(projections) >= floor.threshold).sum(axis=0)
-    return frozenset(int(i) for i in np.flatnonzero(counts >= math.ceil(r0 / 2)))
+    return _estimate(ensemble, measurements, "support").support

@@ -195,11 +195,6 @@ class RecoveryConfig:
         _noise_sd(self.sigma_w, self.noise_mode, self.k)
         object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
 
-    @property
-    def noise_variance(self) -> float:
-        """Per-coordinate measurement-noise variance under the configured convention."""
-        return _noise_sd(self.sigma_w, self.noise_mode, self.k) ** 2
-
 
 class LazyMatrices(Sequence):
     """The sensing matrices of a seeded ensemble, regenerated from their streams.

@@ -18,7 +18,9 @@ from randcs.sensing import (
     SensingEnsemble,
     Signal,
     build_ensemble,
+    dump_ensemble,
     generate_binary_signal,
+    load_ensemble,
     measure,
 )
 
@@ -229,7 +231,7 @@ class TestRecoverBasic:
                                  noise_mode="theory", master_seed=seed)
             ens = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
-            got = recover_basic(ens, meas, r0)
+            got = recover_basic(ens, meas)
             hits += bool(np.max(np.abs(got.values - z.values)) < 2 * sw)
         assert hits >= 28
 
@@ -254,6 +256,14 @@ class TestEstimateNoiseFloor:
         meas = MeasurementEnsemble(vectors=np.zeros((4, 3)), n=3, k=3, r0=2, master_seed=0)
         with pytest.raises(ValueError):
             estimate_noise_floor(meas, range(2, 2), k=3)
+
+    def test_k_of_other_measurements_rejected(self):
+        # k = 1 against k = 305 measurements scaled the threshold by sqrt(305)
+        vectors = np.random.default_rng(5).standard_normal((16, 305))
+        meas = MeasurementEnsemble(vectors=vectors, n=2000, k=305, r0=8, master_seed=0)
+        with pytest.raises(DimensionMismatchError, match="does not fit"):
+            estimate_noise_floor(meas, range(8, 16), 1)
+        assert estimate_noise_floor(meas, range(8, 16), 305).threshold > 0
 
     def test_concentration_of_median_energy(self):
         # median of 200 round energies stays inside the +/- sqrt(6/k)
@@ -379,6 +389,99 @@ class TestDetermineSupport:
         assert float(np.mean(accs)) >= 0.95
 
 
+@pytest.mark.parametrize("c, subnormal", [(1e-161, True), (1e-162, False)])
+def test_underflowing_threshold_clears_no_coordinate(c, subnormal):
+    # ||b||**2 of z = c e_17 underflows: at 1e-161 to a subnormal sigma2 whose
+    # threshold is 0.0, at 1e-162 to sigma2 = 0.0; a zero threshold must clear
+    # no coordinate, not every one
+    ens = build_ensemble(RecoveryConfig(n=2000, s=1, k=305, r0=8, master_seed=7))
+    z = np.zeros(2000)
+    z[17] = c
+    meas = measure(ens, z, 0.0, "experiment", 7)
+    floor = estimate_noise_floor(meas, range(8, 16), 305)
+    assert floor.threshold == 0.0 and (floor.sigma2 > 0.0) == subnormal
+    assert determine_support(ens, meas) == frozenset()
+    got = recover_suppressed(ens, meas)
+    assert got.support == frozenset()
+    assert np.array_equal(got.values, np.zeros(2000))
+    assert np.count_nonzero(recover_basic(ens, meas).values) == 2000
+
+
+def _oracle(ens, meas):
+    """Medians, suppressed medians and vote support in plain numpy, from the same v."""
+    r0 = ens.r0
+    v = back_project(ens, meas, range(r0))
+    tail = meas.vectors[r0:]
+    threshold = 2.0 * math.sqrt(float(np.median(np.einsum("rk,rk->r", tail, tail))) / ens.k)
+    medians = np.median(v, axis=0)
+    suppressed = np.where(np.abs(medians) < threshold, 0.0, medians)
+    votes = (np.abs(v) >= threshold).sum(axis=0)
+    return medians, suppressed, frozenset(np.flatnonzero(votes >= math.ceil(r0 / 2)).tolist())
+
+
+def _assert_matches_oracle(ens, meas):
+    medians, suppressed, support = _oracle(ens, meas)
+    basic, got = recover_basic(ens, meas), recover_suppressed(ens, meas)
+    assert basic.values.tobytes() == medians.tobytes()
+    assert basic.support == frozenset(np.flatnonzero(medians).tolist())
+    assert got.values.tobytes() == suppressed.tobytes()
+    assert got.support == frozenset(np.flatnonzero(suppressed).tolist())
+    assert determine_support(ens, meas) == support
+    return suppressed, support
+
+
+class TestOracle:
+    @pytest.mark.parametrize("r0", [3, 4])
+    def test_every_ensemble_form(self, r0, tmp_path):
+        # kept and unkept back-projections of a seeded, an RCS2-stored and a
+        # hand-built ensemble; signals span the threshold, so suppression and
+        # votes both keep and clear coordinates
+        n, k = 80, 24
+        seeded = build_ensemble(RecoveryConfig(n=n, s=6, k=k, r0=r0, master_seed=r0))
+        dump_ensemble(seeded, tmp_path / "ens.bin")
+        forms = (
+            seeded,
+            load_ensemble(tmp_path / "ens.bin"),
+            SensingEnsemble(n=n, k=k, r0=r0, master_seed=r0, matrices=tuple(seeded.matrices)),
+        )
+        rng = np.random.default_rng(r0)
+        kept = cleared = 0
+        for trial in range(4):
+            z = np.zeros(n)
+            z[rng.choice(n, 6, replace=False)] = rng.uniform(-2.0, 2.0, 6)
+            for ens in forms:
+                meas = measure(ens, z, 0.1, "experiment", trial)
+                unkept = MeasurementEnsemble(
+                    vectors=meas.vectors, n=n, k=k, r0=r0, master_seed=trial
+                )
+                for m in (meas, unkept):
+                    suppressed, support = _assert_matches_oracle(ens, m)
+                    kept += np.count_nonzero(suppressed) + len(support)
+                    cleared += np.count_nonzero(suppressed == 0) + n - len(support)
+        assert kept > 0 and cleared > 0
+
+    @pytest.mark.parametrize("r0", [4, 5])
+    def test_ties_at_the_threshold_and_the_vote_cut(self, r0):
+        # identity sensing: v[r] = b[r], and second-half rows of squared norm
+        # 16 = k give the threshold 2 * sqrt(16 / 16) = 2.0 exactly
+        n = 16
+        cut = math.ceil(r0 / 2)
+        vectors = np.zeros((2 * r0, n))
+        vectors[r0:, 0] = 4.0
+        vectors[:r0, 0] = 2.0  # at the threshold: kept and voted
+        vectors[:r0, 1] = -2.0  # magnitude at the threshold
+        vectors[:r0, 2] = np.nextafter(2.0, 0.0)  # just below: cleared
+        vectors[:cut, 3] = 3.0  # exactly ceil(r0 / 2) votes
+        vectors[: cut - 1, 4] = 3.0  # one vote short
+        ens = identity_ensemble(n, r0=r0)
+        meas = MeasurementEnsemble(vectors=vectors, n=n, k=n, r0=r0, master_seed=0)
+        assert estimate_noise_floor(meas, range(r0, 2 * r0), n).threshold == 2.0
+        suppressed, support = _assert_matches_oracle(ens, meas)
+        assert support == {0, 1, 3}
+        # coordinate 3's median is 3.0 for odd r0, (3 + 0) / 2 for even r0
+        assert set(np.flatnonzero(suppressed).tolist()) == ({0, 1, 3} if r0 % 2 else {0, 1})
+
+
 class TestThresholdClassification:
     def test_misclassification_rate_below_bound(self):
         # with min |z_i| comfortably above 6 sigma/sqrt(k) and many rounds,
@@ -395,7 +498,7 @@ class TestThresholdClassification:
             ens = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
             floor = estimate_noise_floor(meas, range(r0, 2 * r0), k)
-            zhat = recover_basic(ens, meas, r0).values
+            zhat = recover_basic(ens, meas).values
             on = np.abs(zhat[:s]) <= floor.threshold
             off = np.abs(zhat[s:]) >= floor.threshold
             mistakes += int(on.sum() + off.sum())

@@ -94,9 +94,11 @@ class TestRecoveryConfig:
 
     def test_noise_variance_by_mode(self):
         theory = RecoveryConfig(n=100, s=2, k=50, sigma_w=0.3, noise_mode="theory")
-        assert theory.noise_variance == pytest.approx(0.09)
+        variance = sensing._noise_sd(theory.sigma_w, theory.noise_mode, theory.k) ** 2
+        assert variance == pytest.approx(0.09)
         exp = RecoveryConfig(n=100, s=2, k=50, sigma_w=0.3, noise_mode="experiment")
-        assert exp.noise_variance == pytest.approx(0.09 / 50)
+        variance = sensing._noise_sd(exp.sigma_w, exp.noise_mode, exp.k) ** 2
+        assert variance == pytest.approx(0.09 / 50)
 
     @pytest.mark.parametrize(
         "kwargs",
