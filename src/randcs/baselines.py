@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import DimensionMismatchError
 from .recovery import RecoveredSignal
-from .sensing import Signal, _is_finite_matrix, _signal_product
+from .sensing import _is_finite_matrix, _signal_product
 
 _PIVOT_RTOL = 1e-12
 
@@ -56,7 +56,7 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def sign_quantize(A: np.ndarray, z: Signal | np.ndarray) -> np.ndarray:
+def sign_quantize(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One-bit measurements: +1 where a coordinate of A z is positive, else -1.
 
     A z is summed over the columns of supp(z) in ascending order, as
@@ -64,16 +64,16 @@ def sign_quantize(A: np.ndarray, z: Signal | np.ndarray) -> np.ndarray:
     noiseless round-0 measurement.  A non-finite A or z raises ``ValueError``,
     since an inf or NaN off the support would otherwise go unseen.
     """
-    zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
-    if A.ndim != 2 or zv.shape != (A.shape[1],):
+    z = np.asarray(z, dtype=np.float64)
+    if A.ndim != 2 or z.shape != (A.shape[1],):
         raise DimensionMismatchError(
-            f"cannot multiply {A.shape} matrix by vector of dim {zv.shape}"
+            f"cannot multiply {A.shape} matrix by vector of dim {z.shape}"
         )
-    if not np.isfinite(zv).all():
+    if not np.isfinite(z).all():
         raise ValueError("signal must be finite")
     if not _is_finite_matrix(A):
         raise ValueError("sensing matrix must be finite")
-    return _sign_pm1(_signal_product(A, zv))
+    return _sign_pm1(_signal_product(A, z))
 
 
 def _sign_pm1(y: np.ndarray) -> np.ndarray:
@@ -104,16 +104,14 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def omp_steps(
-    A: np.ndarray, b: np.ndarray, s_budget: int, residual_tol: float = 0.0
-) -> Iterator[OmpState]:
+def omp_steps(A: np.ndarray, b: np.ndarray, s_budget: int) -> Iterator[OmpState]:
     """Iterate orthogonal matching pursuit, yielding the state after each selection.
 
     Each step picks the unselected column with the largest normalized
     correlation |<A_j, residual>| / ||A_j|| (ties to the lowest index),
     extends an incrementally updated QR factorization of the selected
     columns, and re-fits the least-squares coefficients.  Stops after
-    ``s_budget`` selections or once ||residual|| <= residual_tol.
+    ``s_budget`` selections or once the residual is exactly zero.
 
     Raises :class:`RankDeficiencyError` when a new column is numerically
     dependent on the selected ones (pivot below 1e-12 of the first pivot),
@@ -141,7 +139,7 @@ def omp_steps(
     first_pivot = None
 
     for t in range(s_budget):
-        if np.linalg.norm(residual) <= residual_tol:
+        if np.linalg.norm(residual) == 0.0:
             return
         scores = np.abs(A.T @ residual) / safe_norms
         if selected:
@@ -172,28 +170,17 @@ def omp_steps(
         )
 
 
-def omp(
-    A: np.ndarray, b: np.ndarray, s_budget: int, residual_tol: float = 0.0
-) -> RecoveredSignal:
+def omp(A: np.ndarray, b: np.ndarray, s_budget: int) -> RecoveredSignal:
     """Orthogonal matching pursuit; see :func:`omp_steps` for the loop itself."""
     state = None
-    for state in omp_steps(A, b, s_budget, residual_tol):
+    for state in omp_steps(A, b, s_budget):
         pass
     values = np.zeros(A.shape[1])
     support: frozenset[int] = frozenset()
     if state is not None:
         values[list(state.selected)] = state.coefficients
         support = frozenset(state.selected)
-    return RecoveredSignal(values=values, support=support, method="omp")
-
-
-@dataclass(frozen=True, eq=False)
-class IhtState:
-    """One hard-thresholded iterate of the 1-bit descent loop."""
-
-    iterate: np.ndarray
-    iteration: int
-    step_size: float
+    return RecoveredSignal(values=values, support=support)
 
 
 def _sign_of_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -228,8 +215,8 @@ def iht_steps(
     max_iters: int = 100,
     step: float = 1.0,
     normalize: bool = False,
-) -> Iterator[IhtState]:
-    """Binary iterative hard thresholding from a zero start.
+) -> Iterator[np.ndarray]:
+    """Binary iterative hard thresholding from a zero start, yielding each iterate.
 
     Update: x <- hard_threshold_s(x + (step / k) * A^T (signs - sign(A x))),
     where sign uses the same zero-to-minus-one convention as the quantizer.
@@ -243,8 +230,8 @@ def iht_steps(
     product; otherwise (or when the support covers more than an eighth of
     the columns) the dense A x is used, so every iterate is the one the
     dense update gives.  The update is a fixed function of x: once an
-    iterate equals the previous one bit for bit, the remaining states
-    repeat it without further products.
+    iterate equals the previous one bit for bit, the same array is yielded
+    for the remaining iterations without further products.
 
     ``step`` must be finite and positive, and A and ``signs`` finite;
     anything else raises ``ValueError``.
@@ -264,7 +251,7 @@ def iht_steps(
     k = A.shape[0]
     x = np.zeros(A.shape[1])
     fixed = False
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         if not fixed:
             mismatch = signs - _sign_of_product(A, x)
             prev = x
@@ -274,29 +261,24 @@ def iht_steps(
                 if norm > 0:
                     x = x / norm
             fixed = np.array_equal(x.view(np.uint64), prev.view(np.uint64))
-        yield IhtState(iterate=x, iteration=it, step_size=step)
+        yield x
 
 
-def _run_iht(A, signs, s_budget, max_iters, step, normalize, method) -> RecoveredSignal:
-    x = np.zeros(A.shape[1])
-    for state in iht_steps(A, signs, s_budget, max_iters, step, normalize):
-        x = state.iterate
-    return RecoveredSignal(
-        values=x,
-        support=frozenset(int(i) for i in np.flatnonzero(x)),
-        method=method,
-    )
+def _run_iht(A, signs, s_budget, max_iters, step, normalize) -> RecoveredSignal:
+    for x in iht_steps(A, signs, s_budget, max_iters, step, normalize):
+        pass
+    return RecoveredSignal(values=x, support=frozenset(int(i) for i in np.flatnonzero(x)))
 
 
 def biht(
     A: np.ndarray, signs: np.ndarray, s_budget: int, max_iters: int = 100, step: float = 1.0
 ) -> RecoveredSignal:
     """Binary iterative hard thresholding for 1-bit measurements."""
-    return _run_iht(A, signs, s_budget, max_iters, step, False, "biht")
+    return _run_iht(A, signs, s_budget, max_iters, step, False)
 
 
 def nbiht(
     A: np.ndarray, signs: np.ndarray, s_budget: int, max_iters: int = 100, step: float = 1.0
 ) -> RecoveredSignal:
     """Normalized variant: each intermediate iterate is rescaled to unit norm."""
-    return _run_iht(A, signs, s_budget, max_iters, step, True, "nbiht")
+    return _run_iht(A, signs, s_budget, max_iters, step, True)

@@ -79,11 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--measurements", required=True, help="measurements fixture file")
     recover.add_argument("--algorithm", required=True, choices=("basic", "suppressed", "support"))
     recover.add_argument("--out", default=None,
-                         help="write the recovered vector here as little-endian float64")
+                         help="write the recovered vector here as little-endian float64 "
+                              "(basic and suppressed only)")
     return parser
 
 
 def _run_bench(args) -> int:
+    if os.path.abspath(args.out) == os.path.abspath(args.summary):
+        print("randcs bench: --out and --summary must name different files", file=sys.stderr)
+        return USAGE_ERROR
     try:
         grid = ExperimentGrid(
             n_values=tuple(args.n),
@@ -128,6 +132,9 @@ def _run_bench(args) -> int:
 
 
 def _run_recover(args) -> int:
+    if args.out and args.algorithm == "support":
+        print("randcs recover: --out writes values, and support recovers none", file=sys.stderr)
+        return USAGE_ERROR
     try:
         ensemble = load_ensemble(args.ensemble)
         measurements = load_measurements(args.measurements)
@@ -156,7 +163,7 @@ def _run_recover(args) -> int:
         values = result.values
     report["support"] = sorted(support)
     report["support_size"] = len(support)
-    if values is not None and args.out:
+    if args.out:
         try:
             np.asarray(values, dtype="<f8").tofile(args.out)
         except OSError as exc:

@@ -32,7 +32,6 @@ from .numerics import derive_seed
 from .recovery import determine_support
 from .sensing import (
     RecoveryConfig,
-    Signal,
     _add_noise,
     _noise_sd,
     _signal_product,
@@ -177,19 +176,19 @@ def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryCo
     )
 
 
-def _rand_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+def _rand_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
     ensemble = build_ensemble(config)
     measurements = measure(ensemble, signal, config.sigma_w, config.noise_mode, config.master_seed)
     return ensemble, measurements
 
 
-def _omp_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+def _omp_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
     noise_sd = _noise_sd(config.sigma_w, config.noise_mode, config.k)
-    b1 = _add_noise(_signal_product(A1, signal.values), 0, config.r0, noise_sd, config.master_seed)
+    b1 = _add_noise(_signal_product(A1, signal), 0, config.r0, noise_sd, config.master_seed)
     return A1, b1, config.s
 
 
-def _sign_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: Signal, A1):
+def _sign_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
     return A1, sign_quantize(A1, signal), config.s, grid.biht_max_iters, grid.biht_step
 
 
@@ -206,7 +205,7 @@ _DISPATCH = {
 def _run_method(
     grid: ExperimentGrid,
     config: RecoveryConfig,
-    signal: Signal,
+    signal: np.ndarray,
     method: str,
     A1: np.ndarray | None,
 ) -> tuple[frozenset[int], float, float]:
@@ -248,6 +247,7 @@ def run_trial(
     config = trial_config(grid, n, s, trial)
     seed = config.master_seed
     signal = generate_binary_signal(seed, n, s)
+    truth = frozenset(int(i) for i in np.flatnonzero(signal))
 
     A1, first_gen = None, 0.0
     if any(method != "rand" for method in grid.methods):
@@ -271,11 +271,11 @@ def run_trial(
                 r0=config.r0,
                 trial=trial,
                 seed=seed,
-                R=jaccard(predicted, signal.support),
+                R=jaccard(predicted, truth),
                 wall_time_s=wall,
                 pred_size=len(predicted),
-                true_size=len(signal.support),
-                inter_size=len(predicted & signal.support),
+                true_size=len(truth),
+                inter_size=len(predicted & truth),
                 gen_time_s=gen_time if method == "rand" else first_gen + gen_time,
             )
         )
@@ -300,8 +300,8 @@ class GridOutcome:
         done = Counter((r.method, r.n, r.s) for r in self.results)
         return {key: count / (count + done[key]) for key, count in failed.items()}
 
-    def has_excess_failures(self, limit: float = FAILURE_RATE_LIMIT) -> bool:
-        return any(rate > limit for rate in self.failure_rates().values())
+    def has_excess_failures(self) -> bool:
+        return any(rate > FAILURE_RATE_LIMIT for rate in self.failure_rates().values())
 
 
 def run_grid(grid: ExperimentGrid) -> GridOutcome:

@@ -37,11 +37,10 @@ class NoiseFloor:
 
 @dataclass(frozen=True, eq=False)
 class RecoveredSignal:
-    """A recovered vector, its support, and the method that produced it."""
+    """A recovered vector and its support."""
 
     values: np.ndarray
     support: frozenset[int]
-    method: str
 
 
 def _check_rounds(rounds: range, available: int) -> None:
@@ -76,7 +75,7 @@ def _estimate(
         values = median(_back_project(ensemble, measurements, range(ensemble.r0)), axis=0)
         if method == "suppressed":
             values = np.where(np.abs(values) < threshold, 0.0, values)
-    return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)), method)
+    return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)))
 
 
 def back_project(

@@ -113,34 +113,8 @@ def theory_round_count(n: int) -> int:
     return math.ceil(1080 * math.log(n))
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """A ground-truth vector with its support set and sparsity."""
-
-    values: np.ndarray
-    support: frozenset[int]
-    sparsity: int
-
-    def __post_init__(self) -> None:
-        nonzero = frozenset(int(i) for i in np.flatnonzero(self.values))
-        if self.support != nonzero or self.sparsity != len(nonzero):
-            raise ValueError("signal support/sparsity inconsistent with its values")
-
-    @classmethod
-    def from_values(cls, values) -> "Signal":
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("a signal must be one-dimensional")
-        support = frozenset(int(i) for i in np.flatnonzero(v))
-        return cls(values=v, support=support, sparsity=len(support))
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-
-def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> Signal:
-    """A 0/1 signal with exactly s ones at uniformly chosen coordinates.
+def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> np.ndarray:
+    """A 0/1 float64 signal of length n with exactly s ones at uniformly chosen coordinates.
 
     ``source`` may be a GaussianSource or a bare integer seed (which is
     taken as the dedicated signal stream of that seed).
@@ -152,7 +126,7 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> Sign
     chosen = source.generator().choice(n, size=s, replace=False)
     values = np.zeros(n)
     values[chosen] = 1.0
-    return Signal(values=values, support=frozenset(int(i) for i in chosen), sparsity=s)
+    return values
 
 
 def _noise_sd(sigma_w: float, noise_mode: str, k: int) -> float:
@@ -460,19 +434,13 @@ def _add_noise(Az: np.ndarray, r: int, r0: int, noise_sd: float, noise_seed: int
 
 @dataclass(frozen=True, eq=False)
 class MeasurementEnsemble:
-    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite.
-
-    ``sigma_w`` and ``noise_mode`` echo how the noise was drawn; they are
-    None for ensembles loaded from fixture files, which do not record them.
-    """
+    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite."""
 
     vectors: np.ndarray
     n: int
     k: int
     r0: int
     master_seed: int
-    sigma_w: float | None = None
-    noise_mode: str | None = None
     # v[r] = A[r]^T b[r] for r < r0 as measure() kept them, and a weak reference to the ensemble
     _projections: tuple[weakref.ref, np.ndarray] | None = field(
         default=None, init=False, repr=False
@@ -490,7 +458,7 @@ class MeasurementEnsemble:
 
 def measure(
     ensemble: SensingEnsemble,
-    z: Signal | np.ndarray,
+    z: np.ndarray,
     sigma_w: float,
     noise_mode: str,
     noise_seed: int,
@@ -512,18 +480,18 @@ def measure(
     columns at a time, and never held whole.
     """
     noise_sd = _noise_sd(sigma_w, noise_mode, ensemble.k)
-    zv = z.values if isinstance(z, Signal) else np.asarray(z, dtype=np.float64)
-    if zv.shape != (ensemble.n,):
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (ensemble.n,):
         raise DimensionMismatchError(
-            f"signal of shape {zv.shape} does not fit an ensemble of dimension {ensemble.n}"
+            f"signal of shape {z.shape} does not fit an ensemble of dimension {ensemble.n}"
         )
-    if not np.isfinite(zv).all():
+    if not np.isfinite(z).all():
         raise ValueError("signal must be finite")
     r0, k = ensemble.r0, ensemble.k
-    support = np.flatnonzero(zv)
+    support = np.flatnonzero(z)
     vectors = np.empty((2 * r0, k))
     if (stack := ensemble._stack) is not None:
-        vectors[:] = _sum_columns((stack,), zv, support, k)
+        vectors[:] = _sum_columns((stack,), z, support, k)
         for r in range(2 * r0):
             vectors[r] = _add_noise(vectors[r], r, r0, noise_sd, noise_seed)
         projections = np.matmul(stack[:r0], vectors[:r0, :, None])[..., 0]
@@ -531,7 +499,7 @@ def measure(
         projections = np.empty((r0, ensemble.n))
 
         def noisy(r: int, cols: Iterable[np.ndarray]) -> None:
-            vectors[r] = _add_noise(_sum_columns(cols, zv, support, k), r, r0, noise_sd, noise_seed)
+            vectors[r] = _add_noise(_sum_columns(cols, z, support, k), r, r0, noise_sd, noise_seed)
 
         def measure_and_project(r: int, A: np.ndarray) -> None:
             noisy(r, (A.T,))
@@ -540,15 +508,7 @@ def measure(
         # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
         _each_round(ensemble, range(r0), measure_and_project, range(r0, 2 * r0), noisy)
     vectors.flags.writeable = projections.flags.writeable = False
-    measurements = MeasurementEnsemble(
-        vectors=vectors,
-        n=ensemble.n,
-        k=ensemble.k,
-        r0=r0,
-        master_seed=ensemble.master_seed,
-        sigma_w=sigma_w,
-        noise_mode=noise_mode,
-    )
+    measurements = MeasurementEnsemble(vectors, ensemble.n, ensemble.k, r0, ensemble.master_seed)
     object.__setattr__(measurements, "_projections", (weakref.ref(ensemble), projections))
     return measurements
 

@@ -42,7 +42,6 @@ from randcs.recovery import estimate_noise_floor, recover_suppressed
 from randcs.sensing import (
     MeasurementEnsemble,
     RecoveryConfig,
-    Signal,
     build_ensemble,
 )
 
@@ -63,14 +62,14 @@ def prefix_signal(n, s, magnitude, seed):
     signs = np.where(GaussianSource(seed).stream(0).generator().random(s) < 0.5, -1.0, 1.0)
     values = np.zeros(n)
     values[:s] = magnitude * signs
-    return Signal.from_values(values)
+    return np.asarray(values, dtype=float)
 
 
 def prefix_measurements(config, z, seed):
     """Measurements from leading-column blocks, noise on measure()'s streams."""
     k, r0, sw = config.k, config.r0, config.sigma_w
-    s = z.sparsity
-    zs = z.values[:s]
+    s = np.count_nonzero(z)
+    zs = z[:s]
     noise_sd = sw if config.noise_mode == "theory" else sw / math.sqrt(k)
     source = GaussianSource(seed)
     vectors = np.empty((2 * r0, k))
@@ -80,16 +79,13 @@ def prefix_measurements(config, z, seed):
         if noise_sd > 0:
             b = b + noise_sd * source.stream(2 * r0 + r + 1).generator().standard_normal(k)
         vectors[r] = b
-    return MeasurementEnsemble(
-        vectors=vectors, n=config.n, k=k, r0=r0, master_seed=seed,
-        sigma_w=sw, noise_mode=config.noise_mode,
-    )
+    return MeasurementEnsemble(vectors=vectors, n=config.n, k=k, r0=r0, master_seed=seed)
 
 
 # fixed signal shared by criteria 1 and 2: n=50, s=5, entries +/-1
 N1, S1 = 50, 5
-Z1 = Signal.from_values(
-    np.concatenate([np.where(np.arange(S1) % 2 == 0, 1.0, -1.0), np.zeros(N1 - S1)])
+Z1 = np.asarray(
+    np.concatenate([np.where(np.arange(S1) % 2 == 0, 1.0, -1.0), np.zeros(N1 - S1)]), dtype=float
 )
 
 
@@ -98,7 +94,7 @@ def test_criterion_1_back_projection_moments():
     with criterion(1, "back-projection moments"):
         start = time.perf_counter()
         k, sw, N = 200, 0.1, 100_000
-        z = Z1.values
+        z = Z1
         theta2 = z**2 / k + (z @ z) / k + sw**2
 
         pairs_rng = np.random.Generator(np.random.Philox(key=1001))
@@ -143,8 +139,8 @@ def test_criterion_2_noise_floor_concentration():
         k, r0, sw, reps = 100, 144, 0.1, 10_000
         cfg = RecoveryConfig(n=N1, s=S1, k=k, r0=r0 // 2, sigma_w=sw,
                              noise_mode="theory", master_seed=0)
-        zs = Z1.values[:S1]
-        expected = float(Z1.values @ Z1.values) + k * sw**2
+        zs = Z1[:S1]
+        expected = float(Z1 @ Z1) + k * sw**2
         band = math.sqrt(6 / k) * expected
         lo, hi = expected - band, expected + band
 
@@ -157,7 +153,7 @@ def test_criterion_2_noise_floor_concentration():
             noise = src.stream(2).generator().standard_normal((r0, k))
             vectors = np.einsum("rck,c->rk", blocks, zs) + sw * noise
             meas = MeasurementEnsemble(vectors=vectors, n=N1, k=k, r0=r0 // 2,
-                                       master_seed=seed, sigma_w=sw, noise_mode="theory")
+                                       master_seed=seed)
             floor = estimate_noise_floor(meas, range(r0), k)
             inside += bool(lo < floor.sigma2 < hi)
 
@@ -187,11 +183,11 @@ def test_criterion_3_suppressed_recovery_event():
                 # block-built measurements match a materialized round
                 A = ensemble.matrices[r0]
                 w = GaussianSource(seed).stream(3 * r0 + 1).generator().standard_normal(k)
-                full = A @ z.values + sw * w
+                full = A @ z + sw * w
                 assert np.allclose(meas.vectors[r0], full, rtol=1e-9, atol=1e-12)
             got = recover_suppressed(ensemble, meas)
-            support_ok = got.support == z.support
-            err_ok = bool(np.max(np.abs(got.values[:s] - z.values[:s])) < 2 * sw)
+            support_ok = got.support == frozenset(np.flatnonzero(z))
+            err_ok = bool(np.max(np.abs(got.values[:s] - z[:s])) < 2 * sw)
             wins += support_ok and err_ok
 
         assert wins >= 95, f"only {wins}/100 runs recovered exactly"

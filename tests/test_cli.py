@@ -105,6 +105,16 @@ class TestBenchCommand:
         assert "cell n=1, s=1: need k >= 1 and r0 >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_same_out_and_summary_is_usage_error(self, tmp_path, capsys):
+        # the summary table used to overwrite the per-trial CSV after the grid ran
+        args, out, _ = bench_args(tmp_path)
+        args[args.index("--summary") + 1] = str(tmp_path / "." / "results.csv")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "--out and --summary" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -151,6 +161,18 @@ class TestRecoverCommand:
                      "--algorithm", "suppressed", "--out", str(vpath)]) == 0
         got = np.fromfile(vpath, dtype="<f8")
         assert np.array_equal(got, recover_suppressed(ens, meas).values)
+
+    def test_out_with_support_is_usage_error(self, fixtures, tmp_path, capsys):
+        # support recovers no values, so --out used to write nothing and exit 0
+        *_, epath, mpath = fixtures
+        vpath = tmp_path / "values.bin"
+        for ensemble in (epath, str(tmp_path / "missing.bin")):
+            assert main(["recover", "--ensemble", ensemble, "--measurements", mpath,
+                         "--algorithm", "support", "--out", str(vpath)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("randcs recover: --out")
+        assert not vpath.exists()
 
     def test_header_mismatch_is_usage_error(self, fixtures, tmp_path, capsys):
         cfg, ens, _, z, epath, _ = fixtures

@@ -131,7 +131,7 @@ class TestRunTrial:
         signal = generate_binary_signal(GaussianSource(seed).stream(0), n, s)
 
         results = {r.method: r for r in run_trial(grid, n, s, trial)}
-        assert all(r.true_size == signal.sparsity for r in results.values())
+        assert all(r.true_size == np.count_nonzero(signal) for r in results.values())
         assert all(r.seed == seed for r in results.values())
 
         ens = build_ensemble(cfg)
@@ -139,7 +139,7 @@ class TestRunTrial:
         A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), cfg.k, n, 1.0 / cfg.k)
         assert np.array_equal(A1, ens.matrices[0])
         noise_sd = grid.sigma_w / math.sqrt(cfg.k)
-        b1 = A1 @ signal.values + noise_sd * GaussianSource(seed).stream(
+        b1 = A1 @ signal + noise_sd * GaussianSource(seed).stream(
             2 * cfg.r0 + 1
         ).generator().standard_normal(cfg.k)
         assert np.array_equal(b1, meas.vectors[0])
@@ -349,14 +349,15 @@ def _separate_method_row(grid, method, n, s, trial):
         A1 = sample_gaussian_matrix(GaussianSource(seed).stream(1), cfg.k, n, 1.0 / cfg.k)
         if method == "omp":
             noise = GaussianSource(seed).stream(2 * cfg.r0 + 1).generator().standard_normal(cfg.k)
-            b1 = A1 @ signal.values + grid.sigma_w / math.sqrt(cfg.k) * noise
+            b1 = A1 @ signal + grid.sigma_w / math.sqrt(cfg.k) * noise
             predicted = omp(A1, b1, s).support
         else:
             solver = biht if method == "biht" else nbiht
             predicted = solver(A1, sign_quantize(A1, signal), s,
                                grid.biht_max_iters, grid.biht_step).support
-    inter = len(predicted & signal.support)
-    return (method, n, s, cfg.k, cfg.r0, trial, seed, jaccard(predicted, signal.support),
+    inter = len(predicted & frozenset(np.flatnonzero(signal)))
+    return (method, n, s, cfg.k, cfg.r0, trial, seed,
+            jaccard(predicted, frozenset(np.flatnonzero(signal))),
             len(predicted), s, inter)
 
 

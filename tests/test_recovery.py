@@ -16,7 +16,6 @@ from randcs.sensing import (
     MeasurementEnsemble,
     RecoveryConfig,
     SensingEnsemble,
-    Signal,
     build_ensemble,
     dump_ensemble,
     generate_binary_signal,
@@ -68,7 +67,7 @@ def prefix_signal(n, s, magnitude=1.0, seed=None):
     else:
         signs = np.where(GaussianSource(seed).stream(0).generator().random(s) < 0.5, -1.0, 1.0)
     values[:s] = magnitude * signs
-    return Signal.from_values(values)
+    return np.asarray(values, dtype=float)
 
 
 def prefix_measurements(config, z, seed):
@@ -81,8 +80,8 @@ def prefix_measurements(config, z, seed):
     identical.  Noise replays measure()'s exact stream layout.
     """
     n, k, r0, sw = config.n, config.k, config.r0, config.sigma_w
-    s = z.sparsity
-    zs = z.values[:s]
+    s = np.count_nonzero(z)
+    zs = z[:s]
     noise_sd = sw if config.noise_mode == "theory" else sw / math.sqrt(k)
     source = GaussianSource(seed)
     vectors = np.empty((2 * r0, k))
@@ -92,20 +91,17 @@ def prefix_measurements(config, z, seed):
         if noise_sd > 0:
             b = b + noise_sd * source.stream(2 * r0 + r + 1).generator().standard_normal(k)
         vectors[r] = b
-    return MeasurementEnsemble(
-        vectors=vectors, n=n, k=k, r0=r0, master_seed=seed,
-        sigma_w=sw, noise_mode=config.noise_mode,
-    )
+    return MeasurementEnsemble(vectors=vectors, n=n, k=k, r0=r0, master_seed=seed)
 
 
 class TestBackProject:
     def test_identity_matrices_return_signal(self):
         ens = identity_ensemble(4, r0=2)
-        z = Signal.from_values([1.0, 0.0, -2.0, 0.5])
+        z = np.asarray([1.0, 0.0, -2.0, 0.5], dtype=float)
         meas = measure(ens, z, 0.0, "theory", 0)
         proj = back_project(ens, meas, range(4))
         for row in proj:
-            assert np.array_equal(row, z.values)
+            assert np.array_equal(row, z)
 
     def test_lazy_blocks_match_eager(self):
         # rounds 1..7 straddle the r0 = 4 back-projections measure() kept,
@@ -163,8 +159,8 @@ class TestBackProject:
         ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 31)
         V = back_project(ens, meas, range(rounds))
-        theta2 = z.values**2 / k + 5.0 / k + sw**2
-        assert np.all(np.abs(V.mean(axis=0) - z.values) < 4.75 * np.sqrt(theta2 / rounds))
+        theta2 = z**2 / k + 5.0 / k + sw**2
+        assert np.all(np.abs(V.mean(axis=0) - z) < 4.75 * np.sqrt(theta2 / rounds))
         assert np.all(np.abs(V.var(axis=0) - theta2) < 0.10 * theta2)
         rng = np.random.Generator(np.random.Philox(key=8))
         for _ in range(20):
@@ -206,7 +202,7 @@ class TestRecoverBasic:
         )
         shuffled_meas = MeasurementEnsemble(
             vectors=np.vstack([meas.vectors[perm], meas.vectors[5:]]),
-            n=10, k=8, r0=5, master_seed=21, sigma_w=0.1, noise_mode="experiment",
+            n=10, k=8, r0=5, master_seed=21,
         )
         assert np.array_equal(recover_basic(shuffled_ens, shuffled_meas).values, base.values)
 
@@ -232,7 +228,7 @@ class TestRecoverBasic:
             ens = build_ensemble(cfg)
             meas = prefix_measurements(cfg, z, seed)
             got = recover_basic(ens, meas)
-            hits += bool(np.max(np.abs(got.values - z.values)) < 2 * sw)
+            hits += bool(np.max(np.abs(got.values - z)) < 2 * sw)
         assert hits >= 28
 
 
@@ -315,13 +311,13 @@ class TestRecoverSuppressed:
         # back with its support intact
         n, s, sw = 32, 2, 0.1
         k = math.ceil(200 * s * math.log(n))
-        z = Signal.from_values(np.concatenate([[-1.5, -1.5], np.zeros(n - 2)]))
+        z = np.asarray(np.concatenate([[-1.5, -1.5], np.zeros(n - 2)]), dtype=float)
         cfg = RecoveryConfig(n=n, s=s, k=k, r0=15, sigma_w=sw,
                              noise_mode="theory", master_seed=77)
         ens = build_ensemble(cfg)
         meas = measure(ens, z, sw, "theory", 77)
         got = recover_suppressed(ens, meas)
-        assert got.support == z.support
+        assert got.support == frozenset(np.flatnonzero(z))
         assert np.all(got.values[:2] < 0)
 
 
@@ -332,10 +328,10 @@ class TestDetermineSupport:
         n = 16
         values = np.zeros(n)
         values[[0, 5, 11]] = 1.0
-        z = Signal.from_values(values)
+        z = np.asarray(values, dtype=float)
         ens = identity_ensemble(n, r0=2)
         meas = measure(ens, z, 0.0, "theory", 0)
-        assert determine_support(ens, meas) == z.support
+        assert determine_support(ens, meas) == frozenset(np.flatnonzero(z))
 
     def test_zero_measurements_give_empty_support(self):
         ens = identity_ensemble(5, r0=2)
@@ -384,8 +380,8 @@ class TestDetermineSupport:
             z = generate_binary_signal(GaussianSource(seed).stream(0), n, s)
             meas = measure(ens, z, sw, "experiment", seed)
             got = determine_support(ens, meas)
-            union = got | z.support
-            accs.append(len(got & z.support) / len(union))
+            union = got | frozenset(np.flatnonzero(z))
+            accs.append(len(got & frozenset(np.flatnonzero(z))) / len(union))
         assert float(np.mean(accs)) >= 0.95
 
 
