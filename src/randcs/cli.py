@@ -85,9 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bench(args) -> int:
-    if os.path.abspath(args.out) == os.path.abspath(args.summary):
-        print("randcs bench: --out and --summary must name different files", file=sys.stderr)
+    # every output path is settled before the grid, which can run for hours
+    twin = summary_csv_path(args.summary)
+    if os.path.abspath(twin) == os.path.abspath(args.out):
+        twin = str(args.summary) + ".csv"  # keep the twin off the results file
+    if os.path.abspath(args.out) in (os.path.abspath(args.summary), os.path.abspath(twin)):
+        print(f"randcs bench: --out and --summary must name different files, and --out "
+              f"must not be the summary's CSV twin {twin}", file=sys.stderr)
         return USAGE_ERROR
+    for path in (args.out, args.summary):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"randcs bench: the directory of {path} does not exist", file=sys.stderr)
+            return USAGE_ERROR
     try:
         grid = ExperimentGrid(
             n_values=tuple(args.n),
@@ -110,9 +119,6 @@ def _run_bench(args) -> int:
     outcome = run_grid(grid)
     try:
         emit_csv(outcome.results, args.out)
-        twin = summary_csv_path(args.summary)
-        if os.path.abspath(twin) == os.path.abspath(args.out):
-            twin = str(args.summary) + ".csv"  # keep the twin off the results file
         emit_summary(outcome.summaries, args.summary, twin)
         with open(args.summary, encoding="utf-8") as fh:
             sys.stdout.write(fh.read())

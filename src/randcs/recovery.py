@@ -1,6 +1,6 @@
 """Optimization-free recovery from a measurement ensemble.
 
-All three procedures read two statistics of a measurement: the
+The procedures read two statistics of a measurement: the
 back-projections v[r] = A[r]^T @ b[r] of rounds [0, r0), and the threshold
 2 * sqrt(sigma2 / k), where sigma2, the median of ||b[r]||**2 over rounds
 [r0, 2*r0), estimates ||z||**2 + k * sigma_w**2 without knowing z or sigma_w.
@@ -12,8 +12,9 @@ back-projections v[r] = A[r]^T @ b[r] of rounds [0, r0), and the threshold
   in at least ceil(r0 / 2) rounds.
 
 The two halves are never mixed.  Each call checks once that the
-measurements' (n, k, r0) fit the ensemble, and takes the threshold before
-any back-projection.  A zero threshold (all-zero or underflowing second-half
+measurements' (n, k, r0) fit the ensemble.  ``recover_basic`` reads no
+threshold and takes none; the other two take it before any
+back-projection.  A zero threshold (all-zero or underflowing second-half
 measurements) clears no coordinate: the support is empty, the suppressed
 values are zero, and no round is back-projected.
 """
@@ -65,16 +66,16 @@ def _estimate(
 ) -> RecoveredSignal:
     """The "basic", "suppressed" or "support" estimate (a 0/1 vote mask) from one measurement."""
     _check_fits(ensemble, measurements)
-    threshold = _noise_floor(measurements.vectors[ensemble.r0:], ensemble.k).threshold
-    if threshold == 0.0 and method != "basic":
+    floor = method != "basic" and _noise_floor(measurements.vectors[ensemble.r0:], ensemble.k)
+    if floor and floor.threshold == 0.0:
         values = np.zeros(ensemble.n)  # a zero threshold clears no coordinate
     elif method == "support":
         v = _back_project(ensemble, measurements, range(ensemble.r0))
-        values = (np.abs(v) >= threshold).sum(axis=0) >= math.ceil(ensemble.r0 / 2)
+        values = (np.abs(v) >= floor.threshold).sum(axis=0) >= math.ceil(ensemble.r0 / 2)
     else:
         values = median(_back_project(ensemble, measurements, range(ensemble.r0)), axis=0)
         if method == "suppressed":
-            values = np.where(np.abs(values) < threshold, 0.0, values)
+            values = np.where(np.abs(values) < floor.threshold, 0.0, values)
     return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)))
 
 

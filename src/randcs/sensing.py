@@ -12,18 +12,19 @@ matrix, noise vector, or signal is reproducible in isolation:
 
 A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
 it is one pass over its rounds on one process-wide pool of
-``os.cpu_count()`` threads.  A round that needs its whole matrix runs in a
-lane, a pool thread that owns one (n, k) buffer for the pass, samples the
-round into it and uses it at once.  Rounds [r0, 2*r0) of a measurement feed
-only the noise floor, so they are streamed: handed over as blocks of
-columns, each drawn when it is asked for, and never held whole.  A pass
-visits rounds and knows nothing of the signal.  It samples each round once,
-keeps ceil(P/2) lanes on a pool of P threads when it streams and P when it
-does not, and frees its buffers when it returns; seeded passes run one at
-a time, so the process holds at most one matrix per lane however many
-threads call in.  Because every round has its own stream, and OpenBLAS is
-held at one thread during a pass, the values do not depend on the thread
-count.
+``os.cpu_count()`` threads, which hands each round to one callback as
+blocks of its matrix's columns.  A round that needs its whole matrix runs
+in a lane, a pool thread that owns one (n, k) buffer for the pass, samples
+the round into it as one block and uses it at once.  Rounds [r0, 2*r0) of
+a measurement feed only the noise floor, so they are streamed: handed over
+as blocks of a few columns, each drawn when it is asked for, and never
+held whole.  A pass visits rounds and knows nothing of the signal.  It
+samples each round once, keeps ceil(P/2) lanes on a pool of P threads when
+it streams and P when it does not, and frees its buffers when it returns;
+seeded passes run one at a time, so the process holds at most one matrix
+per lane however many threads call in.  Because every round has its own
+stream, and OpenBLAS is held at one thread during a pass, the values do
+not depend on the thread count.
 
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
@@ -33,7 +34,8 @@ C-contiguous (2*r0, n, k) stack of sampling buffers, ``matrices[r]`` being
 its view ``stack[r].T``: an ``RCS2`` fixture as read, an ``RCS1`` one
 (row-major, still read) or a hand-built sequence copied in once.  So every
 matrix is column-major, and at one BLAS thread A^T b is the same bit for
-bit too.  A stored measurement is one support gather and one batched A^T b.
+bit too.  A stored measurement is one support sum over the stack and one
+batched A^T b.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ _FIXTURE_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
 
-# rows of k doubles gathered at a time by _sum_columns over all the rounds it
-# sums (one column a round past that many rounds), whatever the support size
-_PRODUCT_BLOCK_ROWS = 256
 # columns of A drawn per block by a streamed round: bounds its block to
 # this many rows of k doubles, whatever the support
 _STREAM_BLOCK_ROWS = 256
@@ -280,23 +279,23 @@ def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
 def _each_round(
     ensemble: SensingEnsemble,
     rounds: Iterable[int],
-    work: Callable[[int, np.ndarray], None],
+    take: Callable[[int, Iterator[np.ndarray]], None],
     streamed: Iterable[int] = (),
-    take: Callable[[int, Iterable[np.ndarray]], None] | None = None,
 ) -> None:
-    """One pass: ``work(r, A)`` for each full round, ``take(r, blocks)`` for each streamed round.
+    """One pass: ``take(r, blocks)`` for each of the full ``rounds`` and the ``streamed`` ones.
 
-    ``blocks`` are A's columns, as consecutive row blocks of its (n, k)
-    buffer, ``_STREAM_BLOCK_ROWS`` rows at a time, each drawn when it is
-    asked for and held until the next is.
+    ``blocks`` are A's columns as consecutive row blocks of its (n, k)
+    buffer, each drawn when it is asked for and held until the next is.  A
+    full round's one block is the whole buffer, whose ``.T`` is A; a
+    streamed round's blocks are ``_STREAM_BLOCK_ROWS`` rows each.
 
     The ensemble is seeded, and the pass runs on the P threads of the shared
     pool.  Its full rounds run in lanes, each owning one (n, k) buffer for
-    the pass, so ``work`` must be done with A when it returns: ceil(P/2)
-    lanes when the pass streams, P lanes when it does not, and a lane that
-    runs out of full rounds streams.  A streamed round is drawn into a small
-    block (a lane's buffer lends its first rows).  So a pass holds at most
-    one buffer per lane, and drops them all when it returns.
+    the pass, so ``take`` must be done with its blocks when it returns:
+    ceil(P/2) lanes when the pass streams, P lanes when it does not, and a
+    lane that runs out of full rounds streams.  A streamed round is drawn
+    into a small block (a lane's buffer lends its first rows).  So a pass
+    holds at most one buffer per lane, and drops them all when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
@@ -307,27 +306,26 @@ def _each_round(
     it returns or raises.
     """
     global _sampling_pool
-    matrices = ensemble.matrices
-    n, k = matrices._n, matrices._k
+    matrices, n, k = ensemble.matrices, ensemble.n, ensemble.k
     # rounds not yet taken by a lane; deque.popleft is atomic
     full, rest = deque(rounds), deque(streamed)
 
     def lane(owns_buffer: bool) -> None:
-        def blocks(r: int) -> Iterator[np.ndarray]:
+        def blocks(r: int, rows: np.ndarray) -> Iterator[np.ndarray]:
             # a generator, so the stream opens only when take asks for a block
-            yield from _sampled(matrices, r, block)
+            yield from _sampled(matrices, r, rows)
 
         try:
             cols = None
             while owns_buffer and (r := _pop(full)) is not None:
                 if cols is None:
                     cols = _lane_buffer(n, k)
-                work(r, next(_sampled(matrices, r, cols)).T)
+                take(r, blocks(r, cols))
             block = None if cols is None else cols[:_STREAM_BLOCK_ROWS]
             while (r := _pop(rest)) is not None:
                 if block is None:
                     block = np.empty((min(_STREAM_BLOCK_ROWS, n), k))
-                take(r, blocks(r))
+                take(r, blocks(r, block))
         except BaseException:
             # the other lanes stop after their current round
             full.clear()
@@ -389,33 +387,17 @@ def _sum_columns(
     once.  No block is taken after the one that holds max(support), none at
     all for an empty support, and no BLAS call is made, so the bits depend
     neither on the blocks nor on A's memory layout nor on the BLAS thread
-    count.  An empty support gives zeros(k).
+    count.  ``z[i]`` is a float64 scalar, so an A of another dtype is summed
+    in float64 too.  An empty support gives zeros(k).
     """
     out = np.zeros(k)
     blocks = iter(blocks)
-    start = lo = 0
-    while lo < support.size:
-        rows = next(blocks)
-        stop = start + rows.shape[-2]
-        # a whole matrix, one block at 0, needs neither a search nor a shift
-        hi = support.size if support[-1] < stop else int(np.searchsorted(support, stop))
-        step = max(1, _PRODUCT_BLOCK_ROWS // math.prod(rows.shape[:-2]))
-        dtype = np.result_type(rows, z)
-        for first in range(lo, hi, step):
-            idx = support[first : min(first + step, hi)]
-            # a copy, rows of k contiguous for any A; scaled in place, so no second temporary
-            terms = rows[..., idx - start if start else idx, :].astype(dtype, copy=False)
-            terms *= z[idx, None]
-            # the running sum enters as the first term, so the order stays ascending
-            terms[..., 0, :] += out
-            if k == 1:
-                # a reduce along a single column would sum pairwise, not in order
-                np.add.accumulate(terms, axis=-2, out=terms)
-                out = terms[..., -1, :].copy()
-            else:
-                # row by row: each row is added in full to the sum of those before it
-                out = np.add.reduce(terms, axis=-2)
-        start, lo = stop, hi
+    start = stop = 0
+    for i in support:
+        while i >= stop:
+            rows = next(blocks)
+            start, stop = stop, stop + rows.shape[-2]
+        out = out + z[i] * rows[..., i - start, :]
     return out
 
 
@@ -498,15 +480,16 @@ def measure(
     else:
         projections = np.empty((r0, ensemble.n))
 
-        def noisy(r: int, cols: Iterable[np.ndarray]) -> None:
-            vectors[r] = _add_noise(_sum_columns(cols, z, support, k), r, r0, noise_sd, noise_seed)
+        def take(r: int, blocks: Iterator[np.ndarray]) -> None:
+            # a full round's one block is its whole buffer, kept for A^T b;
+            # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
+            buffer = next(blocks) if r < r0 else None
+            Az = _sum_columns(blocks if buffer is None else (buffer,), z, support, k)
+            vectors[r] = _add_noise(Az, r, r0, noise_sd, noise_seed)
+            if buffer is not None:
+                projections[r] = buffer @ vectors[r]
 
-        def measure_and_project(r: int, A: np.ndarray) -> None:
-            noisy(r, (A.T,))
-            projections[r] = A.T @ vectors[r]
-
-        # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
-        _each_round(ensemble, range(r0), measure_and_project, range(r0, 2 * r0), noisy)
+        _each_round(ensemble, range(r0), take, range(r0, 2 * r0))
     vectors.flags.writeable = projections.flags.writeable = False
     measurements = MeasurementEnsemble(vectors, ensemble.n, ensemble.k, r0, ensemble.master_seed)
     object.__setattr__(measurements, "_projections", (weakref.ref(ensemble), projections))
@@ -526,8 +509,8 @@ def _back_project(
         return np.matmul(ensemble._stack[picked], measurements.vectors[picked, :, None])[..., 0]
     per_round = np.empty((len(rounds), ensemble.n))
 
-    def project(r: int, A: np.ndarray) -> None:
-        per_round[rounds.index(r)] = A.T @ measurements.vectors[r]
+    def project(r: int, blocks: Iterator[np.ndarray]) -> None:
+        per_round[rounds.index(r)] = next(blocks) @ measurements.vectors[r]
 
     _each_round(ensemble, rounds, project)
     return per_round
@@ -572,10 +555,10 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
     if stack is not None:
         return
 
-    def write_round(r: int, A: np.ndarray) -> None:
+    def write_round(r: int, blocks: Iterator[np.ndarray]) -> None:
         with open(path, "r+b") as fh:
             fh.seek(_HEADER.size + 8 * r * k * n)
-            fh.write(np.ascontiguousarray(A.T, dtype="<f8"))
+            fh.write(np.ascontiguousarray(next(blocks), dtype="<f8"))
 
     _each_round(ensemble, range(2 * ensemble.r0), write_round)
 

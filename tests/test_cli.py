@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import randcs.cli as cli
 from randcs.cli import main
 from randcs.numerics import GaussianSource
 from randcs.recovery import determine_support, recover_basic, recover_suppressed
@@ -37,6 +38,10 @@ def bench_args(tmp_path, **extra):
     for flag, value in extra.items():
         args += [flag, value]
     return args, out, summary
+
+
+def _no_grid(grid):
+    raise AssertionError("the grid ran")
 
 
 class TestBenchCommand:
@@ -114,6 +119,41 @@ class TestBenchCommand:
         assert "--out and --summary" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("out, summary", [("results.csv", "results"),
+                                              (".summary.csv", ".summary")])
+    def test_out_as_summary_csv_twin_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, out, summary
+    ):
+        # the summary's CSV twin used to overwrite the per-trial CSV after the grid ran
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, _ = bench_args(tmp_path)
+        args[args.index("--out") + 1] = str(tmp_path / out)
+        args[args.index("--summary") + 1] = str(tmp_path / summary)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"CSV twin {tmp_path / out}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_as_default_twin_moves_the_twin(self, tmp_path):
+        # results.csv beside results.txt: the twin is results.txt.csv instead
+        args, out, _ = bench_args(tmp_path)
+        args[args.index("--summary") + 1] = str(tmp_path / "results.txt")
+        assert main(args) == 0
+        assert out.read_text().startswith("method,n,s,k,r0,trial,")
+        assert (tmp_path / "results.txt.csv").read_text().startswith("method,n,s,mean_R")
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_missing_output_directory_is_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        # the grid used to run to the end before the write failed
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, _ = bench_args(tmp_path)
+        missing = tmp_path / "missing" / "file.txt"
+        args[args.index(flag) + 1] = str(missing)
+        assert main(args) == 1
+        assert f"the directory of {missing} does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import randcs.recovery as recovery
 from randcs.numerics import DimensionMismatchError, GaussianSource, sample_gaussian_matrix
 from randcs.recovery import (
     back_project,
@@ -188,6 +189,20 @@ class TestRecoverBasic:
         got = recover_basic(ens, meas)
         assert np.array_equal(got.values, np.zeros(12))
         assert got.support == frozenset()
+
+    def test_takes_no_noise_floor(self, monkeypatch):
+        # the median of the first half reads no threshold, so none is taken
+        cfg = RecoveryConfig(n=30, s=2, k=12, r0=3, master_seed=8)
+        ens = build_ensemble(cfg)
+        meas = measure(ens, generate_binary_signal(8, 30, 2), 0.1, "experiment", 8)
+
+        def no_floor(*args):
+            raise AssertionError("the noise floor was taken")
+
+        monkeypatch.setattr(recovery, "_noise_floor", no_floor)
+        got = recover_basic(ens, meas)
+        expected = np.median(back_project(ens, meas, range(3)), axis=0)
+        assert got.values.tobytes() == expected.tobytes()
 
     def test_round_permutation_invariance(self):
         cfg = RecoveryConfig(n=10, s=2, k=8, r0=5, master_seed=21)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randcs.sensing as sensing
+from randcs.baselines import sign_quantize
 from randcs.numerics import GaussianSource, sample_gaussian_matrix
 from randcs.recovery import back_project, recover_suppressed
 from randcs.sensing import (
@@ -694,6 +695,25 @@ class TestSignalProduct:
                 got = sensing._signal_product(M, z)
                 assert got.tobytes() == _support_sum(M, z).tobytes()
 
+    @pytest.mark.parametrize("dtype, k", [(np.float32, 1), (np.float32, 57), (np.int64, 1)])
+    def test_other_dtypes_summed_in_float64(self, dtype, k):
+        # the ascending float64 loop over the upcast entries, for the product
+        # and for the one-bit signs that quantize it
+        rng = np.random.default_rng(k)
+        for n in (1, 9, 300, 700):
+            A = (rng.standard_normal((k, n)) * 10.0 ** rng.integers(-2, 5, size=n)).astype(dtype)
+            z = np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0)
+            expected = _support_sum(A.astype(np.float64), z)
+            assert sensing._signal_product(A, z).tobytes() == expected.tobytes()
+            assert sign_quantize(A, z).tobytes() == np.where(expected > 0, 1.0, -1.0).tobytes()
+
+    def test_float32_matrix_times_float64_signal(self):
+        # z_i rounded to float32 would cancel to 0 and quantize to -1
+        A = np.array([[1.0, -1.0]], dtype=np.float32)
+        z = np.array([1.0 + 2.0**-30, 1.0])
+        assert sensing._signal_product(A, z).tolist() == [2.0**-30]
+        assert sign_quantize(A, z).tolist() == [1.0]
+
     def test_empty_support_gives_zeros(self):
         got = sensing._signal_product(np.ones((3, 5)), np.zeros(5))
         assert got.tobytes() == np.zeros(3).tobytes()
@@ -737,7 +757,7 @@ class TestSumColumns:
         elif kind == "random":
             support = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
         elif kind == "above-gather":
-            above = min(n, sensing._PRODUCT_BLOCK_ROWS + 1 + int(rng.integers(0, 300)))
+            above = min(n, 256 + 1 + int(rng.integers(0, 300)))
             support = sorted(rng.choice(n, size=above, replace=False))
         else:
             support = []
@@ -769,8 +789,8 @@ class TestSumColumns:
         n = 700
         rng = np.random.default_rng(10 * rounds + k)
         stack = rng.standard_normal((rounds, n, k)) * 10.0 ** rng.integers(-4, 5, size=(1, n, 1))
-        step = sensing._PRODUCT_BLOCK_ROWS // rounds
-        for size in (sensing._PRODUCT_BLOCK_ROWS + 44, 2 * step, 2 * step + 1, 0):
+        step = 256 // rounds
+        for size in (256 + 44, 2 * step, 2 * step + 1, 0):
             support = np.sort(rng.choice(n, size=size, replace=False))
             z = np.zeros(n)
             z[support] = _spread_values(support, size)
@@ -780,7 +800,7 @@ class TestSumColumns:
 
     def test_stack_gathers_within_the_block_rows(self):
         # all 16 rounds of a 600-entry support would gather 9600 rows at
-        # once; each gather stays within _PRODUCT_BLOCK_ROWS rows of k
+        # once; each gather stays within 256 rows of k
         gathered = []
 
         class Recording(np.ndarray):
@@ -797,7 +817,7 @@ class TestSumColumns:
         got = sensing._sum_columns((stack.view(Recording),), z, support, k)
         assert got.tobytes() == sensing._sum_columns((stack,), z, support, k).tobytes()
         assert sum(gathered) == rounds * support.size
-        assert max(gathered) <= sensing._PRODUCT_BLOCK_ROWS
+        assert max(gathered) <= 256
 
 
 def _spread_values(support, seed):
@@ -813,7 +833,7 @@ _STREAMED_SUPPORTS = {
     "straddle": [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1],
     "first-column": [0],
     "above-product-block": sorted(
-        np.random.default_rng(5).choice(700, size=sensing._PRODUCT_BLOCK_ROWS + 44, replace=False)
+        np.random.default_rng(5).choice(700, size=256 + 44, replace=False)
     ),
     "empty": [],
 }
