@@ -93,7 +93,10 @@ def _run_bench(args) -> int:
         print(f"randcs bench: --out and --summary must name different files, and --out "
               f"must not be the summary's CSV twin {twin}", file=sys.stderr)
         return USAGE_ERROR
-    for path in (args.out, args.summary):
+    for path in (args.out, args.summary, twin):
+        if os.path.isdir(path):
+            print(f"randcs bench: {path} is a directory, not a file", file=sys.stderr)
+            return USAGE_ERROR
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             print(f"randcs bench: the directory of {path} does not exist", file=sys.stderr)
             return USAGE_ERROR

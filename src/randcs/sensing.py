@@ -10,21 +10,23 @@ matrix, noise vector, or signal is reproducible in isolation:
 * stream r + 1, r in [0, 2*r0)    -- sensing matrix r
 * stream 2*r0 + r + 1             -- noise vector r
 
-A seeded ensemble holds no matrix.  Measuring, back-projecting and dumping
-it is one pass over its rounds on one process-wide pool of
-``os.cpu_count()`` threads, which hands each round to one callback as
-blocks of its matrix's columns.  A round that needs its whole matrix runs
-in a lane, a pool thread that owns one (n, k) buffer for the pass, samples
-the round into it as one block and uses it at once.  Rounds [r0, 2*r0) of
-a measurement feed only the noise floor, so they are streamed: handed over
-as blocks of a few columns, each drawn when it is asked for, and never
-held whole.  A pass visits rounds and knows nothing of the signal.  It
-samples each round once, keeps ceil(P/2) lanes on a pool of P threads when
-it streams and P when it does not, and frees its buffers when it returns;
-seeded passes run one at a time, so the process holds at most one matrix
-per lane however many threads call in.  Because every round has its own
-stream, and OpenBLAS is held at one thread during a pass, the values do
-not depend on the thread count.
+Measuring, back-projecting and dumping an ensemble is one pass over its
+rounds, which hands them to one callback as blocks of their matrices'
+columns, stacked on a leading round axis.  A seeded ensemble holds no
+matrix: its pass runs on one process-wide pool of ``os.cpu_count()``
+threads and hands over one round at a time.  A round that needs its whole
+matrix runs in a lane, a pool thread that owns one (n, k) buffer for the
+pass, samples the round into it as one block and uses it at once.  Rounds
+[r0, 2*r0) of a measurement feed only the noise floor, so they are
+streamed: handed over as blocks of a few columns, each drawn when it is
+asked for, and never held whole.  A pass visits rounds and knows nothing
+of the signal.  A seeded pass samples each round once, keeps ceil(P/2)
+lanes on a pool of P threads when it streams and P when it does not, and
+frees its buffers when it returns; seeded passes run one at a time, so the
+process holds at most one matrix per lane however many threads call in.
+Because every round has its own stream, and OpenBLAS is held at one thread
+during a seeded pass, a seeded ensemble's values do not depend on the
+thread count.
 
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
@@ -34,8 +36,10 @@ C-contiguous (2*r0, n, k) stack of sampling buffers, ``matrices[r]`` being
 its view ``stack[r].T``: an ``RCS2`` fixture as read, an ``RCS1`` one
 (row-major, still read) or a hand-built sequence copied in once.  So every
 matrix is column-major, and at one BLAS thread A^T b is the same bit for
-bit too.  A stored measurement is one support sum over the stack and one
-batched A^T b.
+bit too.  A stored ensemble's pass hands every requested round over at
+once, as one view of the stack, on the caller's thread, with no pool and
+BLAS at its usual thread count: a stored measurement is one support sum
+over the stack and one batched A^T b.
 """
 
 from __future__ import annotations
@@ -278,24 +282,33 @@ def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
 
 def _each_round(
     ensemble: SensingEnsemble,
-    rounds: Iterable[int],
-    take: Callable[[int, Iterator[np.ndarray]], None],
-    streamed: Iterable[int] = (),
+    rounds: range,
+    take: Callable[[range, Iterator[np.ndarray]], None],
+    streamed: int = 0,
 ) -> None:
-    """One pass: ``take(r, blocks)`` for each of the full ``rounds`` and the ``streamed`` ones.
+    """One pass: ``take(block_rounds, blocks)`` until every round of ``rounds`` is taken once.
 
-    ``blocks`` are A's columns as consecutive row blocks of its (n, k)
-    buffer, each drawn when it is asked for and held until the next is.  A
-    full round's one block is the whole buffer, whose ``.T`` is A; a
-    streamed round's blocks are ``_STREAM_BLOCK_ROWS`` rows each.
+    ``blocks`` are A's columns as consecutive row blocks of the (n, k)
+    sampling buffers of ``block_rounds``, a sub-range of ``rounds``, stacked
+    on a leading round axis; each block is drawn when it is asked for and
+    held until the next is.  A full round's one block is its whole buffer,
+    whose ``.T`` is A.  The last ``streamed`` of ``rounds`` are streamed
+    rounds of a seeded ensemble: their blocks are ``_STREAM_BLOCK_ROWS``
+    rows each.
 
-    The ensemble is seeded, and the pass runs on the P threads of the shared
-    pool.  Its full rounds run in lanes, each owning one (n, k) buffer for
-    the pass, so ``take`` must be done with its blocks when it returns:
-    ceil(P/2) lanes when the pass streams, P lanes when it does not, and a
-    lane that runs out of full rounds streams.  A streamed round is drawn
-    into a small block (a lane's buffer lends its first rows).  So a pass
-    holds at most one buffer per lane, and drops them all when it returns.
+    A stored ensemble is taken in one call on the caller's thread: its one
+    block is the stack's view of ``rounds`` in their order, never a copy.
+    It uses no pool, lock or BLAS pin, so its products run at BLAS's usual
+    thread count.
+
+    A seeded ensemble is taken one round at a time on the P threads of the
+    shared pool.  Its full rounds run in lanes, each owning one (n, k)
+    buffer for the pass, so ``take`` must be done with its blocks when it
+    returns: ceil(P/2) lanes when the pass streams, P lanes when it does
+    not, and a lane that runs out of full rounds streams.  A streamed round
+    is drawn into a small block (a lane's buffer lends its first rows).  So
+    a pass holds at most one buffer per lane, and drops them all when it
+    returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
@@ -306,26 +319,32 @@ def _each_round(
     it returns or raises.
     """
     global _sampling_pool
+    if (stack := ensemble._stack) is not None:
+        # rounds are checked to lie in the stack, so a negative stop only ends a descent at 0
+        view = stack[rounds.start : None if rounds.stop < 0 else rounds.stop : rounds.step]
+        take(rounds, iter((view,)))
+        return
     matrices, n, k = ensemble.matrices, ensemble.n, ensemble.k
     # rounds not yet taken by a lane; deque.popleft is atomic
-    full, rest = deque(rounds), deque(streamed)
+    full, rest = deque(rounds[: len(rounds) - streamed]), deque(rounds[len(rounds) - streamed :])
 
     def lane(owns_buffer: bool) -> None:
         def blocks(r: int, rows: np.ndarray) -> Iterator[np.ndarray]:
             # a generator, so the stream opens only when take asks for a block
-            yield from _sampled(matrices, r, rows)
+            for block in _sampled(matrices, r, rows):
+                yield block[None]
 
         try:
             cols = None
             while owns_buffer and (r := _pop(full)) is not None:
                 if cols is None:
                     cols = _lane_buffer(n, k)
-                take(r, blocks(r, cols))
+                take(range(r, r + 1), blocks(r, cols))
             block = None if cols is None else cols[:_STREAM_BLOCK_ROWS]
             while (r := _pop(rest)) is not None:
                 if block is None:
                     block = np.empty((min(_STREAM_BLOCK_ROWS, n), k))
-                take(r, blocks(r, block))
+                take(range(r, r + 1), blocks(r, block))
         except BaseException:
             # the other lanes stop after their current round
             full.clear()
@@ -382,13 +401,14 @@ def _sum_columns(
 ) -> np.ndarray:
     """The sum of z_i * A[:, i] over the ascending ``support``, one term at a time.
 
-    ``blocks`` are the rows of A's (n, k) buffer in consecutive blocks (see
-    :func:`_each_round`), or one (rounds, n, k) stack summed for all rounds at
-    once.  No block is taken after the one that holds max(support), none at
-    all for an empty support, and no BLAS call is made, so the bits depend
-    neither on the blocks nor on A's memory layout nor on the BLAS thread
-    count.  ``z[i]`` is a float64 scalar, so an A of another dtype is summed
-    in float64 too.  An empty support gives zeros(k).
+    ``blocks`` are the rows of A's (n, k) buffer in consecutive blocks, or
+    of a (rounds, n, k) stack of such buffers summed for all its rounds at
+    once (see :func:`_each_round`).  No block is taken after the one that
+    holds max(support), none at all for an empty support, and no BLAS call
+    is made, so the bits depend neither on the blocks nor on A's memory
+    layout nor on the BLAS thread count.  ``z[i]`` is a float64 scalar, so
+    an A of another dtype is summed in float64 too.  An empty support gives
+    zeros(k).
     """
     out = np.zeros(k)
     blocks = iter(blocks)
@@ -456,10 +476,14 @@ def measure(
 
     Rounds [0, r0) are also back-projected, v[r] = A[r]^T b[r], and kept for
     the recovery routines; the arrays are read-only so they cannot go stale.
-    A seeded ensemble's pass back-projects each matrix while it is at hand,
-    and streams rounds [r0, 2*r0), which feed only the noise floor: their
-    matrices are drawn only up to the largest support index, a block of
-    columns at a time, and never held whole.
+    One callback takes each block of rounds from the pass: one support sum,
+    the noise of each round and one batched A^T b for the rounds below r0.
+    A seeded ensemble's blocks are single rounds, each back-projected while
+    its matrix is at hand, and rounds [r0, 2*r0), which feed only the noise
+    floor, are streamed: their matrices are drawn only up to the largest
+    support index, a block of columns at a time, and never held whole.  A
+    stored ensemble's one block is all 2*r0 rounds of its stack, taken on
+    the caller's thread.
     """
     noise_sd = _noise_sd(sigma_w, noise_mode, ensemble.k)
     z = np.asarray(z, dtype=np.float64)
@@ -472,24 +496,20 @@ def measure(
     r0, k = ensemble.r0, ensemble.k
     support = np.flatnonzero(z)
     vectors = np.empty((2 * r0, k))
-    if (stack := ensemble._stack) is not None:
-        vectors[:] = _sum_columns((stack,), z, support, k)
-        for r in range(2 * r0):
+    projections = np.empty((r0, ensemble.n))
+
+    def take(rounds: range, blocks: Iterator[np.ndarray]) -> None:
+        # a block of full rounds is whole, kept for A^T b of the rounds below
+        # r0; rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
+        kept = range(rounds.start, min(rounds.stop, r0))
+        stack = next(blocks) if kept else None
+        vectors[rounds] = _sum_columns(blocks if stack is None else (stack,), z, support, k)
+        for r in rounds:
             vectors[r] = _add_noise(vectors[r], r, r0, noise_sd, noise_seed)
-        projections = np.matmul(stack[:r0], vectors[:r0, :, None])[..., 0]
-    else:
-        projections = np.empty((r0, ensemble.n))
+        if kept:
+            projections[kept] = np.matmul(stack[: len(kept)], vectors[kept, :, None])[..., 0]
 
-        def take(r: int, blocks: Iterator[np.ndarray]) -> None:
-            # a full round's one block is its whole buffer, kept for A^T b;
-            # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
-            buffer = next(blocks) if r < r0 else None
-            Az = _sum_columns(blocks if buffer is None else (buffer,), z, support, k)
-            vectors[r] = _add_noise(Az, r, r0, noise_sd, noise_seed)
-            if buffer is not None:
-                projections[r] = buffer @ vectors[r]
-
-        _each_round(ensemble, range(r0), take, range(r0, 2 * r0))
+    _each_round(ensemble, range(2 * r0), take, streamed=r0)
     vectors.flags.writeable = projections.flags.writeable = False
     measurements = MeasurementEnsemble(vectors, ensemble.n, ensemble.k, r0, ensemble.master_seed)
     object.__setattr__(measurements, "_projections", (weakref.ref(ensemble), projections))
@@ -499,18 +519,16 @@ def measure(
 def _back_project(
     ensemble: SensingEnsemble, measurements: MeasurementEnsemble, rounds: range
 ) -> np.ndarray:
-    """v[r] = A[r]^T @ b[r] for every (checked) round: kept, one batched product, or one pass."""
+    """v[r] = A[r]^T @ b[r] for every (checked) round: kept, or a batched product per block."""
     kept = measurements._projections
     if kept is not None and kept[0]() is ensemble and max(rounds[0], rounds[-1]) < ensemble.r0:
         return kept[1][rounds]
-    if ensemble._stack is not None:
-        # a view of the rounds: indexing by the range itself would copy the matrices
-        picked = slice(rounds.start, None if rounds.stop < 0 else rounds.stop, rounds.step)
-        return np.matmul(ensemble._stack[picked], measurements.vectors[picked, :, None])[..., 0]
     per_round = np.empty((len(rounds), ensemble.n))
 
-    def project(r: int, blocks: Iterator[np.ndarray]) -> None:
-        per_round[rounds.index(r)] = next(blocks) @ measurements.vectors[r]
+    def project(taken: range, blocks: Iterator[np.ndarray]) -> None:
+        at = rounds.index(taken[0])
+        b = measurements.vectors[taken, :, None]
+        per_round[at : at + len(taken)] = np.matmul(next(blocks), b)[..., 0]
 
     _each_round(ensemble, rounds, project)
     return per_round
@@ -545,22 +563,19 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
 
     Layout: magic ``RCS2`` then n, k, r0, seed as little-endian 64-bit
     fields, followed by the 2*r0 matrices as float64 (n, k) sampling
-    buffers, row i of buffer r being column i of matrix r.  A stored
-    ensemble's stack is written as it is; each seeded round is written from
-    its lane buffer as the pass reaches it, uncopied.
+    buffers, row i of buffer r being column i of matrix r.  Each block of
+    the pass is written at the offset of its first round, uncopied: a
+    stored ensemble's whole stack in one write on the caller's thread, a
+    seeded round from its lane buffer as the pass reaches it.
     """
-    n, k, stack = ensemble.n, ensemble.k, ensemble._stack
-    stored = () if stack is None else (stack,)
-    _write_fixture(path, _ENSEMBLE_MAGIC, n, k, ensemble.r0, ensemble.master_seed, stored)
-    if stack is not None:
-        return
+    _write_fixture(path, _ENSEMBLE_MAGIC, ensemble.n, ensemble.k, ensemble.r0, ensemble.master_seed)
 
-    def write_round(r: int, blocks: Iterator[np.ndarray]) -> None:
+    def write_rounds(rounds: range, blocks: Iterator[np.ndarray]) -> None:
         with open(path, "r+b") as fh:
-            fh.seek(_HEADER.size + 8 * r * k * n)
+            fh.seek(_HEADER.size + 8 * rounds[0] * ensemble.k * ensemble.n)
             fh.write(np.ascontiguousarray(next(blocks), dtype="<f8"))
 
-    _each_round(ensemble, range(2 * ensemble.r0), write_round)
+    _each_round(ensemble, range(2 * ensemble.r0), write_rounds)
 
 
 def load_ensemble(path) -> SensingEnsemble:

@@ -155,6 +155,24 @@ class TestBenchCommand:
         assert f"the directory of {missing} does not exist" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, path, directory", [("--out", "results.csv", "results.csv"),
+                                                       ("--summary", "summary.txt", "summary.txt"),
+                                                       ("--summary", "summary.txt", "summary.csv")])
+    def test_output_path_naming_a_directory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flag, path, directory
+    ):
+        # the grid used to run to the end before the write failed with [Errno 21];
+        # summary.csv is the CSV twin of --summary summary.txt
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, _ = bench_args(tmp_path)
+        args[args.index(flag) + 1] = str(tmp_path / path)
+        (tmp_path / directory).mkdir()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"{tmp_path / directory} is a directory" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -207,15 +207,19 @@ class TestBuildEnsemble:
                 back_project(ens, alone, range(4)),
             )
 
-    def test_regenerate_many_bit_identical(self):
-        # rounds requested out of order land in the order requested
+    def test_regenerate_many_bit_identical(self, tmp_path):
+        # rounds requested out of order land in the order requested, for a
+        # seeded ensemble and for the stored ones, whose stepped and
+        # reversed rounds are one view of the stack
         cfg = RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99)
-        ens = build_ensemble(cfg)
-        meas = _unkept(measure(ens, generate_binary_signal(99, 16, 2), 0.1, "experiment", 99))
-        rounds = range(5, -1, -2)
-        got = back_project(ens, meas, rounds)
-        expected = [ens.matrices[r].T @ meas.vectors[r] for r in rounds]
-        assert [np.array_equal(g, e) for g, e in zip(got, expected)] == [True] * 3
+        seeded = build_ensemble(cfg)
+        built = SensingEnsemble(n=16, k=8, r0=3, master_seed=99, matrices=tuple(seeded.matrices))
+        for ens in (seeded, _dumped(seeded, tmp_path), built):
+            meas = _unkept(measure(ens, generate_binary_signal(99, 16, 2), 0.1, "experiment", 99))
+            rounds = range(5, -1, -2)
+            got = back_project(ens, meas, rounds)
+            expected = [ens.matrices[r].T @ meas.vectors[r] for r in rounds]
+            assert [np.array_equal(g, e) for g, e in zip(got, expected)] == [True] * 3
 
     def test_regenerate_many_validates(self):
         ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99))
@@ -477,6 +481,42 @@ class TestPass:
             sys.setswitchinterval(interval)
         assert len(runs) == 4
         assert get() == before
+
+    def test_stored_ensemble_runs_on_the_callers_thread(self, monkeypatch, tmp_path):
+        # a stored ensemble's rounds never reach the sampling pool or the
+        # BLAS pin, and give the seeded pass's values; n and k are too small
+        # for OpenBLAS to thread a product, so no thread count moves a bit
+        seeded = build_ensemble(RecoveryConfig(n=40, s=3, k=24, r0=4, master_seed=71))
+        z = generate_binary_signal(71, 40, 3)
+        rounds = range(7, -1, -3)
+        meas = measure(seeded, z, 0.1, "experiment", 71)
+        expected = (meas.vectors, back_project(seeded, meas, range(4)),
+                    back_project(seeded, _unkept(meas), rounds))
+        dump_ensemble(seeded, tmp_path / "seeded.bin")
+        built = SensingEnsemble(n=40, k=24, r0=4, master_seed=71, matrices=tuple(seeded.matrices))
+        stored = (load_ensemble(tmp_path / "seeded.bin"), built)
+        blas = sensing._openblas_threads()
+        before = None if blas is None else blas[0]()
+
+        class NoPool:
+            _max_workers = 2
+
+            def submit(self, *args, **kwargs):
+                raise AssertionError("a stored round was sent to the sampling pool")
+
+        def no_pin():
+            raise AssertionError("a stored pass looked up the BLAS thread pin")
+
+        monkeypatch.setattr(sensing, "_sampling_pool", NoPool())
+        monkeypatch.setattr(sensing, "_openblas_threads", no_pin)
+        for ens in stored:
+            meas = measure(ens, z, 0.1, "experiment", 71)
+            got = (meas.vectors, back_project(ens, meas, range(4)),
+                   back_project(ens, _unkept(meas), rounds))
+            assert [g.tobytes() == e.tobytes() for g, e in zip(got, expected)] == [True] * 3
+            dump_ensemble(ens, tmp_path / "stored.bin")
+            assert (tmp_path / "stored.bin").read_bytes() == (tmp_path / "seeded.bin").read_bytes()
+        assert blas is None or blas[0]() == before
 
     def test_seeded_values_independent_of_blas_threads(self, blas_threads):
         # at n=2002 OpenBLAS splits A^T b unevenly over two threads, which
