@@ -233,8 +233,8 @@ def iht_steps(
     iterate equals the previous one bit for bit, the same array is yielded
     for the remaining iterations without further products.
 
-    ``step`` must be finite and positive, and A and ``signs`` finite;
-    anything else raises ``ValueError``.
+    ``step`` must be finite and positive, ``s_budget`` in [0, n], and A and
+    ``signs`` finite; anything else raises ``ValueError``.
     """
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
@@ -244,12 +244,14 @@ def iht_steps(
         raise DimensionMismatchError(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
+    k, n = A.shape
+    if not 0 <= s_budget <= n:
+        raise ValueError(f"sparsity budget must lie in [0, n], got {s_budget} for n={n}")
     if not np.isfinite(signs).all():
         raise ValueError("sign vector must be finite")
     if not _is_finite_matrix(A):
         raise ValueError("sensing matrix must be finite")
-    k = A.shape[0]
-    x = np.zeros(A.shape[1])
+    x = np.zeros(n)
     fixed = False
     for _ in range(max_iters):
         if not fixed:

@@ -1,12 +1,14 @@
-"""Benchmark harness: trial generation, method dispatch, metrics, CSV output.
+"""Benchmark harness: trial generation, the four recoveries, metrics, CSV output.
 
 A trial is the unit of work.  Within a grid cell (n, s), every method of a
 given trial sees the same signal and, where a single matrix suffices, the
 same first sensing matrix and measurement vector, so accuracy comparisons
 are paired; the signal and the first matrix are generated once per trial
-and shared.  Only the recovery call is timed; signal, matrix, and
-measurement generation are excluded and reported separately in the
-``gen_time_s`` column.  For ``rand``, :func:`~randcs.sensing.measure`
+and shared.  One function, ``_run_method``, holds each method's recipe:
+the inputs it builds from the shared ones and the solver it calls on
+them.  Only the recovery call is timed; signal, matrix, and measurement
+generation are excluded and reported separately in the ``gen_time_s``
+column.  For ``rand``, :func:`~randcs.sensing.measure`
 computes the r0 back-projections A[r]^T b[r] in the same pass that
 samples each matrix, so those products count in ``gen_time_s`` and
 ``wall_time_s`` covers the rest of the recovery: the noise floor, the vote
@@ -90,10 +92,8 @@ class ExperimentGrid:
             raise ValueError(f"methods must not repeat, got {repeated} more than once")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        for name in ("k_override", "r0_override", "biht_max_iters"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.biht_max_iters < 1:
+            raise ValueError(f"biht_max_iters must be at least 1, got {self.biht_max_iters}")
         if not (np.isfinite(self.biht_step) and self.biht_step > 0):
             raise ValueError(f"biht_step must be finite and positive, got {self.biht_step}")
         for f in self.sparsity_fractions:
@@ -176,32 +176,6 @@ def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryCo
     )
 
 
-def _rand_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
-    ensemble = build_ensemble(config)
-    measurements = measure(ensemble, signal, config.sigma_w, config.noise_mode, config.master_seed)
-    return ensemble, measurements
-
-
-def _omp_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
-    noise_sd = _noise_sd(config.sigma_w, config.noise_mode, config.k)
-    b1 = _add_noise(_signal_product(A1, signal), 0, config.r0, noise_sd, config.master_seed)
-    return A1, b1, config.s
-
-
-def _sign_inputs(grid: ExperimentGrid, config: RecoveryConfig, signal: np.ndarray, A1):
-    return A1, sign_quantize(A1, signal), config.s, grid.biht_max_iters, grid.biht_step
-
-
-# per method: (prepare, solve); prepare(grid, config, signal, A1) builds the
-# inputs, and solve(*inputs), the recovery alone, returns the support
-_DISPATCH = {
-    "rand": (_rand_inputs, determine_support),
-    "omp": (_omp_inputs, lambda *inputs: omp(*inputs).support),
-    "biht": (_sign_inputs, lambda *inputs: biht(*inputs).support),
-    "nbiht": (_sign_inputs, lambda *inputs: nbiht(*inputs).support),
-}
-
-
 def _run_method(
     grid: ExperimentGrid,
     config: RecoveryConfig,
@@ -209,18 +183,38 @@ def _run_method(
     method: str,
     A1: np.ndarray | None,
 ) -> tuple[frozenset[int], float, float]:
-    """Prepare one method's inputs and time its recovery.
+    """Build one method's inputs, then time its recovery call alone.
 
-    Returns the predicted support, the seconds spent preparing the inputs
+    ``rand`` measures the signal through a fresh seeded ensemble and
+    determines the support; ``omp`` recovers from the first matrix ``A1``
+    and its noisy measurement, which is round 0 of that ensemble bit for
+    bit; ``biht`` and ``nbiht`` recover from ``A1`` and the signs of its
+    noiseless product.  The baselines are given the true s as their budget.
+
+    Returns the predicted support, the seconds spent building the inputs
     and the seconds of the recovery call.  Everything the method allocates,
     the ``rand`` ensemble above all, is local to this call, so it is freed
     before the next method runs.
     """
-    prepare, solve = _DISPATCH[method]
     t_gen = time.perf_counter()
-    inputs = prepare(grid, config, signal, A1)
-    t_run = time.perf_counter()
-    predicted = solve(*inputs)
+    if method == "rand":
+        ensemble = build_ensemble(config)
+        measured = measure(ensemble, signal, config.sigma_w, config.noise_mode, config.master_seed)
+        t_run = time.perf_counter()
+        predicted = determine_support(ensemble, measured)
+    elif method == "omp":
+        noise_sd = _noise_sd(config.sigma_w, config.noise_mode, config.k)
+        b1 = _add_noise(_signal_product(A1, signal), 0, config.r0, noise_sd, config.master_seed)
+        t_run = time.perf_counter()
+        predicted = omp(A1, b1, config.s).support
+    elif method == "biht":
+        signs = sign_quantize(A1, signal)
+        t_run = time.perf_counter()
+        predicted = biht(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
+    else:  # nbiht; the grid admits no other method
+        signs = sign_quantize(A1, signal)
+        t_run = time.perf_counter()
+        predicted = nbiht(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
     return predicted, t_run - t_gen, time.perf_counter() - t_run
 
 

@@ -8,6 +8,7 @@ inputs: the same seeds always reproduce the same values.
 from __future__ import annotations
 
 import hashlib
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -24,6 +25,11 @@ class DimensionMismatchError(ValueError):
     """Shapes of interacting operands do not conform."""
 
 
+def _seed64(x) -> int:
+    """A seed or stream index, any integer type, as the 64-bit word the streams are keyed by."""
+    return operator.index(x) & _MASK64
+
+
 def derive_seed(master_seed: int, *words: int | str) -> int:
     """Derive an independent 64-bit seed from a master seed and context words.
 
@@ -32,7 +38,7 @@ def derive_seed(master_seed: int, *words: int | str) -> int:
     statistically unrelated seed.  Stable across platforms and runs.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update((master_seed & _MASK64).to_bytes(8, "little"))
+    h.update(_seed64(master_seed).to_bytes(8, "little"))
     for w in words:
         if isinstance(w, str):
             h.update(b"s" + w.encode("utf-8"))
@@ -58,8 +64,8 @@ class GaussianSource:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
-        object.__setattr__(self, "stream_index", self.stream_index & _MASK64)
+        object.__setattr__(self, "master_seed", _seed64(self.master_seed))
+        object.__setattr__(self, "stream_index", _seed64(self.stream_index))
 
     def stream(self, index: int) -> "GaussianSource":
         """The sibling source with the same master seed and the given stream index."""

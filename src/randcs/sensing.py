@@ -48,6 +48,7 @@ import ctypes
 import functools
 import math
 import mmap
+import operator
 import os
 import struct
 import threading
@@ -60,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import _MASK64, DimensionMismatchError, GaussianSource, sample_gaussian_matrix
+from .numerics import DimensionMismatchError, GaussianSource, _seed64, sample_gaussian_matrix
 
 SIGNAL_STREAM = 0
 
@@ -124,7 +125,7 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> np.n
     """
     if s < 1 or s > n:
         raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={s}, n={n}")
-    if isinstance(source, int):
+    if not isinstance(source, GaussianSource):
         source = GaussianSource(source).stream(SIGNAL_STREAM)
     chosen = source.generator().choice(n, size=s, replace=False)
     values = np.zeros(n)
@@ -149,7 +150,10 @@ class RecoveryConfig:
     Unset ``k`` defaults to ceil(2 * s * ln n); unset ``r0`` defaults to
     ceil(ln n).  ``noise_mode`` selects the per-coordinate noise variance:
     ``"theory"`` uses sigma_w**2, ``"experiment"`` uses sigma_w**2 / k.
-    ``master_seed`` is kept as its 64-bit value, as the streams take it.
+    n, s, k and r0 may be integers of any type, numpy's included, and are
+    kept as Python ints; a float such as 40.0 raises ``ValueError``.
+    ``master_seed``, an integer of any type too, is kept as its 64-bit
+    value, as the streams take it.
     """
 
     n: int
@@ -161,6 +165,12 @@ class RecoveryConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "s", "k", "r0"):
+            if (value := getattr(self, name)) is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.s <= self.n:
             raise ValueError(f"need 1 <= s <= n, got s={self.s}, n={self.n}")
         if self.k is None:
@@ -170,7 +180,7 @@ class RecoveryConfig:
         if self.k < 1 or self.r0 < 1:
             raise ValueError(f"need k >= 1 and r0 >= 1, got k={self.k}, r0={self.r0}")
         _noise_sd(self.sigma_w, self.noise_mode, self.k)
-        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
+        object.__setattr__(self, "master_seed", _seed64(self.master_seed))
 
 
 class LazyMatrices(Sequence):
@@ -407,18 +417,23 @@ def _sum_columns(
     holds max(support), none at all for an empty support, and no BLAS call
     is made, so the bits depend neither on the blocks nor on A's memory
     layout nor on the BLAS thread count.  ``z[i]`` is a float64 scalar, so
-    an A of another dtype is summed in float64 too.  An empty support gives
-    zeros(k).
+    an A of another dtype is summed in float64 too.  Each term is formed in
+    one buffer, allocated with the sum once the first block gives the
+    leading shape.  An empty support gives zeros(k).
     """
-    out = np.zeros(k)
+    out = term = None
     blocks = iter(blocks)
     start = stop = 0
     for i in support:
         while i >= stop:
             rows = next(blocks)
             start, stop = stop, stop + rows.shape[-2]
-        out = out + z[i] * rows[..., i - start, :]
-    return out
+            if out is None:
+                out = np.zeros((*rows.shape[:-2], k))
+                term = np.empty_like(out)
+        np.multiply(z[i], rows[..., i - start, :], out=term)
+        np.add(out, term, out=out)
+    return np.zeros(k) if out is None else out
 
 
 def _signal_product(A: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -536,7 +551,7 @@ def _back_project(
 
 def _write_fixture(path, magic: bytes, n: int, k: int, r0: int, seed: int, blocks=()) -> None:
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, n, k, r0, seed & _MASK64))
+        fh.write(_HEADER.pack(magic, n, k, r0, _seed64(seed)))
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 

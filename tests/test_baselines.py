@@ -250,6 +250,25 @@ class TestBihtFamily:
         raw = (1.0 / k) * (A.T @ (signs + 1.0))
         assert np.allclose(first, raw, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    @pytest.mark.parametrize("budget", [-1, 41])
+    def test_budget_outside_zero_to_n_rejected(self, solver, budget):
+        # at n=40, -1 used to give an empty support and 41 all 40 coordinates
+        A, _, signs = self._instance()
+        with pytest.raises(ValueError, match="sparsity budget"):
+            solver(A, signs, budget)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    def test_budgets_of_zero_and_n_accepted(self, solver):
+        A, _, signs = self._instance()
+        assert solver(A, signs, 0, max_iters=3).support == frozenset()
+        assert solver(A, signs, 40, max_iters=3).values.shape == (40,)
+
+    def test_dimension_mismatch(self):
+        A, _, signs = self._instance()
+        with pytest.raises(DimensionMismatchError):
+            next(iht_steps(A, signs[:-1], 4))
+
     def test_zero_iterations_rejected(self):
         A, _, signs = self._instance()
         with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ class TestBenchCommand:
         # rejected with the grid, before any trial runs
         args, out, _ = bench_args(tmp_path)
         assert main(args + ["--k", "0"]) == 1
-        assert "k_override" in capsys.readouterr().err
+        assert "cell n=128, s=3: need k >= 1 and r0 >= 1, got k=0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_biht_step_is_usage_error(self, tmp_path, capsys):
@@ -231,6 +231,17 @@ class TestRecoverCommand:
             assert captured.out == ""
             assert captured.err.startswith("randcs recover: --out")
         assert not vpath.exists()
+
+    def test_out_into_missing_directory_is_usage_error(self, fixtures, tmp_path, capsys):
+        *_, epath, mpath = fixtures
+        vpath = tmp_path / "missing" / "values.bin"
+        assert main(["recover", "--ensemble", epath, "--measurements", mpath,
+                     "--algorithm", "suppressed", "--out", str(vpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("randcs recover: ")
+        assert str(vpath) in captured.err
+        assert not vpath.parent.exists()
 
     def test_header_mismatch_is_usage_error(self, fixtures, tmp_path, capsys):
         cfg, ens, _, z, epath, _ = fixtures

@@ -106,6 +106,19 @@ class TestExperimentGrid:
         with pytest.raises(ValueError):
             small_grid(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(k_override=10.5), "k must be an integer"),
+            (dict(r0_override=2.5), "r0 must be an integer"),
+            (dict(n_values=(128.0,)), "n must be an integer"),
+        ],
+    )
+    def test_non_integral_sizes_rejected_with_the_cell_named(self, overrides, message):
+        # k_override=10.5 used to be accepted, and then every trial failed
+        with pytest.raises(ValueError, match=rf"^cell n=128(\.0)?, s=3: {message}"):
+            small_grid(**overrides)
+
 
 class TestRunTrial:
     def test_result_fields_echo_configuration(self):

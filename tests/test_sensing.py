@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import randcs.sensing as sensing
 from randcs.baselines import sign_quantize
-from randcs.numerics import GaussianSource, sample_gaussian_matrix
+from randcs.harness import ExperimentGrid, run_trial
+from randcs.numerics import GaussianSource, derive_seed, sample_gaussian_matrix
 from randcs.recovery import back_project, recover_suppressed
 from randcs.sensing import (
     NOISE_MODES,
@@ -111,6 +112,74 @@ class TestRecoveryConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RecoveryConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(n=40.0, s=2), "n"),
+            (dict(n=40, s=2.0), "s"),
+            (dict(n=40, s=2, k=8.5), "k"),
+            (dict(n=40, s=2, k=8.0), "k"),
+            (dict(n=40, s=2, r0=3.5), "r0"),
+            (dict(n=40, s=2, r0="3"), "r0"),
+        ],
+    )
+    def test_non_integral_sizes_rejected(self, kwargs, name):
+        # k=8.5 used to pass here and fail later inside measure
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RecoveryConfig(**kwargs)
+
+    def test_numpy_integer_sizes_kept_as_python_ints(self):
+        cfg = RecoveryConfig(n=np.int64(40), s=np.int32(2), k=np.uint16(9), r0=np.int64(3))
+        assert [type(v) for v in (cfg.n, cfg.s, cfg.k, cfg.r0)] == [int] * 4
+        assert cfg == RecoveryConfig(n=40, s=2, k=9, r0=3)
+
+
+class TestNumpyIntegerSeeds:
+    """Seeds and stream indices of any integer type give the Python int's results."""
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.int32(-3), np.uint64(2**64 - 5)], ids=repr)
+    def test_same_results_as_the_python_int(self, seed, tmp_path):
+        # np.int64 & (2**64 - 1) overflowed, and a numpy seed was no signal seed
+        plain = int(seed)
+        assert GaussianSource(seed) == GaussianSource(plain)
+        assert GaussianSource(1, seed) == GaussianSource(1, plain)
+        assert all(type(v) is int for v in (GaussianSource(seed).master_seed,
+                                             GaussianSource(1, seed).stream_index))
+        assert derive_seed(seed, 1) == derive_seed(plain, 1)
+        assert derive_seed(1, seed) == derive_seed(1, plain)
+        signal = generate_binary_signal(plain, 40, 2)
+        assert np.array_equal(generate_binary_signal(seed, 40, 2), signal)
+        cfg = RecoveryConfig(n=40, s=2, master_seed=seed)
+        assert cfg == RecoveryConfig(n=40, s=2, master_seed=plain)
+        assert type(cfg.master_seed) is int
+
+        grids = [ExperimentGrid(n_values=(128,), sparsity_fractions=(0.02,), trials=1,
+                                master_seed=value) for value in (seed, plain)]
+        rows = [[(r.method, r.seed, r.pred_size, r.inter_size) for r in run_trial(g, 128, 3, 0)]
+                for g in grids]
+        assert rows[0] == rows[1]
+
+        ens = build_ensemble(RecoveryConfig(n=40, s=2, k=9, r0=2, master_seed=5))
+        meas = [measure(ens, signal, 0.1, "experiment", value) for value in (seed, plain)]
+        assert np.array_equal(meas[0].vectors, meas[1].vectors)
+
+        files = []
+        for value in (seed, plain):
+            built = SensingEnsemble(n=40, k=9, r0=2, master_seed=value,
+                                    matrices=tuple(ens.matrices))
+            files.append(tmp_path / f"ens-{value!r}.bin")
+            dump_ensemble(built, files[-1])
+            files.append(tmp_path / f"meas-{value!r}.bin")
+            dump_measurements(MeasurementEnsemble(meas[1].vectors, 40, 9, 2, value), files[-1])
+        assert files[0].read_bytes() == files[2].read_bytes()
+        assert files[1].read_bytes() == files[3].read_bytes()
+
+    @pytest.mark.parametrize("index", [np.int64(1), np.int32(-1), np.uint64(1)], ids=repr)
+    def test_matrix_index(self, index, tmp_path):
+        ens = build_ensemble(RecoveryConfig(n=40, s=2, k=9, r0=2, master_seed=5))
+        for form in (ens, _dumped(ens, tmp_path)):
+            assert np.array_equal(form.matrices[index], ens.matrices[int(index)])
 
 
 class TestBuildEnsemble:
@@ -1045,6 +1114,26 @@ class TestFixtureFormat:
         with pytest.raises(ValueError):
             load_measurements(path)
 
+    @pytest.mark.parametrize("change, found", [("truncated", 159), ("over-long", 161)])
+    def test_ensemble_payload_of_wrong_length_rejected(self, tmp_path, change, found):
+        # a valid header over one float64 too few or too many
+        _, ens = self._ensemble()
+        path = tmp_path / "ens.bin"
+        dump_ensemble(ens, path)
+        _resize_payload(path, change)
+        with pytest.raises(ValueError, match=f"expected 160 matrix entries, found {found}$"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("change, found", [("truncated", 19), ("over-long", 21)])
+    def test_measurement_payload_of_wrong_length_rejected(self, tmp_path, change, found):
+        _, ens = self._ensemble()
+        z = generate_binary_signal(GaussianSource(77), 8, 2)
+        path = tmp_path / "meas.bin"
+        dump_measurements(measure(ens, z, 0.1, "experiment", 77), path)
+        _resize_payload(path, change)
+        with pytest.raises(ValueError, match=f"expected 20 measurement entries, found {found}$"):
+            load_measurements(path)
+
     def test_ensemble_bytes_are_stacked_sampling_buffers(self, tmp_path):
         # buffer r is (n, k) with row i the column i of matrix r, as the
         # matrix's stream fills it
@@ -1117,6 +1206,12 @@ def _write_rcs1(path, ens):
     """An RCS1 fixture of ``ens``, written by hand: the header, then the (k, n) matrices."""
     header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
     path.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
+
+
+def _resize_payload(path, change):
+    """Drop the last payload entry of a fixture file, or append one."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] if change == "truncated" else raw + np.ones(1).tobytes())
 
 
 def _overwrite_entry(path, index, value):

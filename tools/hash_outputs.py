@@ -9,7 +9,11 @@ an RCS2 file, and a hand-built tuple of its matrices):
   over forward, reversed and stepped ranges;
 * ``recover_basic``, ``recover_suppressed`` and ``determine_support``;
 * ``sign_quantize``, ``omp``, ``biht`` and ``nbiht`` (30 iterations) on
-  round 0.
+  round 0;
+
+and the ``run_trial`` rows of all four methods at (n, s) = (700, 7) and
+(2002, 20), every column but the timings ``wall_time_s`` and
+``gen_time_s``, so harness edits are checked too.
 
 OpenBLAS is held at one thread, so the digest does not depend on the
 core count.  Run it on two source trees and compare the lines it prints:
@@ -37,6 +41,8 @@ SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 CELLS = ((300, 17, 4), (700, 5, 3), (2000, 305, 4), (2002, 40, 3), (4001, 17, 3))
 NOISE = ((0.1, "experiment"), (0.0, "theory"))
+TRIAL_CELLS = ((700, 7), (2002, 20))
+TRIALS = 3
 
 
 def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
@@ -50,7 +56,7 @@ def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
 
 def main(source: Path) -> str:
     sys.path.insert(0, str(source))
-    from randcs import baselines, recovery, sensing
+    from randcs import baselines, harness, recovery, sensing
 
     digest = hashlib.sha256()
 
@@ -99,6 +105,14 @@ def main(source: Path) -> str:
                     for method in ("biht", "nbiht"):
                         got = getattr(baselines, method)(A, signs, budget, max_iters=30)
                         feed(f"{n} {name} z{i} {method}", got.values)
+    for n, s in TRIAL_CELLS:
+        grid = harness.ExperimentGrid(
+            n_values=(n,), sparsity_fractions=(s / n,), trials=TRIALS, master_seed=n + s
+        )
+        for trial in range(TRIALS):
+            for row in harness.run_trial(grid, n, s, trial):
+                kept = {k: v for k, v in vars(row).items() if k not in ("wall_time_s", "gen_time_s")}
+                digest.update(f"{type(row).__name__} {sorted(kept.items())!r}".encode())
     return digest.hexdigest()
 
 
