@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatchError
+from .numerics import DimensionMismatchError, _integer
 from .recovery import RecoveredSignal
 from .sensing import _is_finite_matrix, _signal_product
 
@@ -115,7 +115,8 @@ def omp_steps(A: np.ndarray, b: np.ndarray, s_budget: int) -> Iterator[OmpState]
 
     Raises :class:`RankDeficiencyError` when a new column is numerically
     dependent on the selected ones (pivot below 1e-12 of the first pivot),
-    and ``ValueError`` for a non-finite A or b.
+    and ``ValueError`` for a non-finite A or b or an ``s_budget`` that is not
+    an integer.
     """
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
@@ -124,6 +125,7 @@ def omp_steps(A: np.ndarray, b: np.ndarray, s_budget: int) -> Iterator[OmpState]
     if not np.isfinite(b).all():
         raise ValueError("measurement vector must be finite")
     k, n = A.shape
+    s_budget = _integer(s_budget, "s_budget")
     if not 0 <= s_budget <= min(k, n):
         raise ValueError(f"sparsity budget must lie in [0, min(k, n)], got {s_budget}")
 
@@ -233,10 +235,11 @@ def iht_steps(
     iterate equals the previous one bit for bit, the same array is yielded
     for the remaining iterations without further products.
 
-    ``step`` must be finite and positive, ``s_budget`` in [0, n], and A and
-    ``signs`` finite; anything else raises ``ValueError``.
+    ``step`` must be finite and positive, ``s_budget`` an integer in [0, n],
+    ``max_iters`` an integer of at least 1, and A and ``signs`` finite;
+    anything else raises ``ValueError``.
     """
-    if max_iters < 1:
+    if _integer(max_iters, "max_iters") < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step size must be finite and positive, got {step}")
@@ -245,6 +248,7 @@ def iht_steps(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
     k, n = A.shape
+    s_budget = _integer(s_budget, "s_budget")
     if not 0 <= s_budget <= n:
         raise ValueError(f"sparsity budget must lie in [0, n], got {s_budget} for n={n}")
     if not np.isfinite(signs).all():

@@ -23,7 +23,7 @@ from .harness import (
     run_grid,
     summary_csv_path,
 )
-from .recovery import determine_support, recover_basic, recover_suppressed
+from .recovery import _estimate
 from .sensing import NOISE_MODES, load_ensemble, load_measurements
 
 USAGE_ERROR = 1
@@ -155,26 +155,14 @@ def _run_recover(args) -> int:
         print("randcs recover: ensemble and measurements headers disagree", file=sys.stderr)
         return USAGE_ERROR
 
-    report = {
-        "algorithm": args.algorithm,
-        "n": ensemble.n,
-        "k": ensemble.k,
-        "r0": ensemble.r0,
-        "seed": ensemble.master_seed,
-    }
-    values = None
-    if args.algorithm == "support":
-        support = determine_support(ensemble, measurements)
-    else:
-        recover = recover_basic if args.algorithm == "basic" else recover_suppressed
-        result = recover(ensemble, measurements)
-        support = result.support
-        values = result.values
-    report["support"] = sorted(support)
-    report["support_size"] = len(support)
+    # the --algorithm choices are the estimator's own method names
+    result = _estimate(ensemble, measurements, args.algorithm)
+    report = {"algorithm": args.algorithm, "n": ensemble.n, "k": ensemble.k, "r0": ensemble.r0,
+              "seed": ensemble.master_seed, "support": sorted(result.support),
+              "support_size": len(result.support)}
     if args.out:
         try:
-            np.asarray(values, dtype="<f8").tofile(args.out)
+            np.asarray(result.values, dtype="<f8").tofile(args.out)
         except OSError as exc:
             print(f"randcs recover: {exc}", file=sys.stderr)
             return USAGE_ERROR

@@ -30,7 +30,7 @@ from pathlib import PurePath
 import numpy as np
 
 from .baselines import biht, nbiht, omp, sign_quantize
-from .numerics import derive_seed
+from .numerics import _integer, derive_seed
 from .recovery import determine_support
 from .sensing import (
     RecoveryConfig,
@@ -62,6 +62,8 @@ class ExperimentGrid:
 
     Every (n, s) cell must make a valid ``RecoveryConfig``, whose error is
     re-raised with the cell named, and no method or cell may repeat.
+    ``trials``, ``workers`` and ``biht_max_iters`` are integers of any type,
+    kept as Python ints; anything else raises ``ValueError``.
     """
 
     n_values: tuple[int, ...]
@@ -82,6 +84,8 @@ class ExperimentGrid:
             raise ValueError("at least one signal size is required")
         if not self.sparsity_fractions:
             raise ValueError("at least one sparsity fraction is required")
+        for name in ("trials", "workers", "biht_max_iters"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         unknown = set(self.methods) - set(METHODS)
@@ -165,6 +169,8 @@ SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 def trial_config(grid: ExperimentGrid, n: int, s: int, trial: int) -> RecoveryConfig:
     """The recovery configuration a given trial runs under (seed included)."""
+    # checked before derive_seed takes it as a word, so a float n gets RecoveryConfig's message
+    n = _integer(n, "n")
     return RecoveryConfig(
         n=n,
         s=s,

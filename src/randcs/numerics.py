@@ -25,9 +25,22 @@ class DimensionMismatchError(ValueError):
     """Shapes of interacting operands do not conform."""
 
 
-def _seed64(x) -> int:
-    """A seed or stream index, any integer type, as the 64-bit word the streams are keyed by."""
-    return operator.index(x) & _MASK64
+def _integer(value, name: str) -> int:
+    """The one integer rule: any integer type, numpy's included, as a Python int.
+
+    Sizes, counts, seeds, stream indices and seed words all go through it.
+    Anything else, a whole float such as 40.0 included, raises
+    ``ValueError`` naming ``name`` and the value.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seed64(x, name: str = "seed") -> int:
+    """A seed or stream index under :func:`_integer`'s rule, as the 64-bit word the streams take."""
+    return _integer(x, name) & _MASK64
 
 
 def derive_seed(master_seed: int, *words: int | str) -> int:
@@ -35,15 +48,16 @@ def derive_seed(master_seed: int, *words: int | str) -> int:
 
     Hashes the little-endian byte encoding of the master seed and every
     context word with BLAKE2b, so any distinct tuple of words gives a
-    statistically unrelated seed.  Stable across platforms and runs.
+    statistically unrelated seed.  Stable across platforms and runs.  A word
+    is a string or an integer, taken modulo 2**64 as a seed is.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(_seed64(master_seed).to_bytes(8, "little"))
+    h.update(_seed64(master_seed, "master_seed").to_bytes(8, "little"))
     for w in words:
         if isinstance(w, str):
             h.update(b"s" + w.encode("utf-8"))
         else:
-            h.update(b"i" + (int(w) & _MASK64).to_bytes(8, "little"))
+            h.update(b"i" + _seed64(w, "seed word").to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -64,8 +78,8 @@ class GaussianSource:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", _seed64(self.master_seed))
-        object.__setattr__(self, "stream_index", _seed64(self.stream_index))
+        object.__setattr__(self, "master_seed", _seed64(self.master_seed, "master_seed"))
+        object.__setattr__(self, "stream_index", _seed64(self.stream_index, "stream_index"))
 
     def stream(self, index: int) -> "GaussianSource":
         """The sibling source with the same master seed and the given stream index."""

@@ -48,7 +48,6 @@ import ctypes
 import functools
 import math
 import mmap
-import operator
 import os
 import struct
 import threading
@@ -61,7 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, GaussianSource, _seed64, sample_gaussian_matrix
+from .numerics import (DimensionMismatchError, GaussianSource, _integer, _seed64,
+                       sample_gaussian_matrix)
 
 SIGNAL_STREAM = 0
 
@@ -167,10 +167,7 @@ class RecoveryConfig:
     def __post_init__(self) -> None:
         for name in ("n", "s", "k", "r0"):
             if (value := getattr(self, name)) is not None:
-                try:
-                    object.__setattr__(self, name, operator.index(value))
-                except TypeError:
-                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
+                object.__setattr__(self, name, _integer(value, name))
         if not 1 <= self.s <= self.n:
             raise ValueError(f"need 1 <= s <= n, got s={self.s}, n={self.n}")
         if self.k is None:
@@ -180,7 +177,7 @@ class RecoveryConfig:
         if self.k < 1 or self.r0 < 1:
             raise ValueError(f"need k >= 1 and r0 >= 1, got k={self.k}, r0={self.r0}")
         _noise_sd(self.sigma_w, self.noise_mode, self.k)
-        object.__setattr__(self, "master_seed", _seed64(self.master_seed))
+        object.__setattr__(self, "master_seed", _seed64(self.master_seed, "master_seed"))
 
 
 class LazyMatrices(Sequence):
@@ -514,15 +511,16 @@ def measure(
     projections = np.empty((r0, ensemble.n))
 
     def take(rounds: range, blocks: Iterator[np.ndarray]) -> None:
-        # a block of full rounds is whole, kept for A^T b of the rounds below
-        # r0; rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
-        kept = range(rounds.start, min(rounds.stop, r0))
-        stack = next(blocks) if kept else None
-        vectors[rounds] = _sum_columns(blocks if stack is None else (stack,), z, support, k)
+        # rounds ascend by 1, so they are the slice [lo, hi).  A block of full
+        # rounds is whole, kept for A^T b of the rounds below top = min(hi, r0);
+        # rounds [r0, 2*r0) feed only the noise floor, so A z is all they need
+        lo, hi, top = rounds.start, rounds.stop, min(rounds.stop, r0)
+        stack = next(blocks) if lo < top else None
+        vectors[lo:hi] = _sum_columns(blocks if stack is None else (stack,), z, support, k)
         for r in rounds:
             vectors[r] = _add_noise(vectors[r], r, r0, noise_sd, noise_seed)
-        if kept:
-            projections[kept] = np.matmul(stack[: len(kept)], vectors[kept, :, None])[..., 0]
+        if stack is not None:
+            np.matmul(stack[: top - lo], vectors[lo:top, :, None], out=projections[lo:top, :, None])
 
     _each_round(ensemble, range(2 * r0), take, streamed=r0)
     vectors.flags.writeable = projections.flags.writeable = False

@@ -146,6 +146,17 @@ class TestOmp:
         with pytest.raises(ValueError):
             omp(np.eye(4), np.ones(4), 5)
 
+    @pytest.mark.parametrize("budget", [2.5, 2.0], ids=repr)
+    def test_non_integral_budget_rejected(self, budget):
+        # 2.5 passed the range check and failed later with TypeError
+        with pytest.raises(ValueError, match=r"^s_budget must be an integer"):
+            omp(np.eye(4), np.ones(4), budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        A = sample_gaussian_matrix(GaussianSource(6), 10, 20, 0.1)
+        b = A[:, 3] - 2.0 * A[:, 11]
+        assert omp(A, b, np.int64(2)).support == omp(A, b, 2).support == {3, 11}
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             omp(np.eye(4), np.ones(3), 2)
@@ -273,6 +284,20 @@ class TestBihtFamily:
         A, _, signs = self._instance()
         with pytest.raises(ValueError):
             biht(A, signs, 4, max_iters=0)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    @pytest.mark.parametrize("kwargs, name", [(dict(s_budget=2.5), "s_budget"),
+                                              (dict(s_budget=4, max_iters=2.5), "max_iters")])
+    def test_non_integral_budget_or_iterations_rejected(self, solver, kwargs, name):
+        A, _, signs = self._instance()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5"):
+            solver(A, signs, **kwargs)
+
+    @pytest.mark.parametrize("solver", [biht, nbiht])
+    def test_numpy_integer_budget_and_iterations_agree(self, solver):
+        A, _, signs = self._instance()
+        got = solver(A, signs, np.int64(4), max_iters=np.int32(20))
+        assert np.array_equal(got.values, solver(A, signs, 4, max_iters=20).values)
 
     @pytest.mark.parametrize("solver", [biht, nbiht])
     def test_non_finite_step_rejected(self, solver):

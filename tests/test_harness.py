@@ -119,6 +119,26 @@ class TestExperimentGrid:
         with pytest.raises(ValueError, match=rf"^cell n=128(\.0)?, s=3: {message}"):
             small_grid(**overrides)
 
+    @pytest.mark.parametrize("name, value", [("trials", 2.5), ("workers", 1.5),
+                                             ("biht_max_iters", 2.5), ("trials", "3")])
+    def test_non_integral_counts_rejected_before_any_trial(self, name, value, monkeypatch):
+        # trials=2.5 died in range, biht_max_iters=2.5 failed every BIHT
+        # trial with TypeError, and workers=1.5 ran
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}"):
+            run_grid(small_grid(**{name: value}))
+        assert ran == []
+
+    def test_numpy_integer_counts_kept_as_python_ints(self):
+        grid = small_grid(trials=np.int64(2), workers=np.int32(1), biht_max_iters=np.uint8(5))
+        assert [type(v) for v in (grid.trials, grid.workers, grid.biht_max_iters)] == [int] * 3
+        assert grid == small_grid(trials=2, workers=1, biht_max_iters=5)
+
+    def test_trial_config_checks_n_before_the_seed_words(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 128\.0$"):
+            trial_config(small_grid(), 128.0, 3, 0)
+
 
 class TestRunTrial:
     def test_result_fields_echo_configuration(self):

@@ -116,6 +116,13 @@ class TestGaussianSource:
     def test_negative_seed_normalized(self):
         assert GaussianSource(-1).master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize("identity, name", [((1.5,), "master_seed"), ((1, 2.5), "stream_index"),
+                                                ((7.0,), "master_seed"), (("7",), "master_seed")])
+    def test_non_integral_identity_rejected(self, identity, name):
+        # a float seed raised TypeError; every integer rule now raises ValueError
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            GaussianSource(*identity)
+
     def test_stream_independence_moments(self):
         # pooled samples across many streams behave like one iid sample
         vals = np.concatenate(
@@ -140,6 +147,20 @@ class TestDeriveSeed:
 
     def test_range(self):
         assert 0 <= derive_seed(0) < 2**64
+
+    @pytest.mark.parametrize("word", [2.9, 2.0, np.float64(2.0)], ids=repr)
+    def test_non_integral_word_rejected(self, word):
+        # int(w) used to truncate: derive_seed(1, 2.9) == derive_seed(1, 2)
+        with pytest.raises(ValueError, match=r"^seed word must be an integer"):
+            derive_seed(1, word)
+
+    def test_integer_words_of_any_type_agree(self):
+        assert derive_seed(1, np.int64(2)) == derive_seed(1, 2)
+        assert derive_seed(1, np.uint64(2**64 - 1)) == derive_seed(1, -1)
+
+    def test_non_integral_master_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^master_seed must be an integer, got 1\.5"):
+            derive_seed(1.5, 2)
 
 
 class TestSampleGaussianMatrix:

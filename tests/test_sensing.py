@@ -129,6 +129,11 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             RecoveryConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3"], ids=repr)
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^master_seed must be an integer"):
+            RecoveryConfig(n=40, s=2, master_seed=seed)
+
     def test_numpy_integer_sizes_kept_as_python_ints(self):
         cfg = RecoveryConfig(n=np.int64(40), s=np.int32(2), k=np.uint16(9), r0=np.int64(3))
         assert [type(v) for v in (cfg.n, cfg.s, cfg.k, cfg.r0)] == [int] * 4

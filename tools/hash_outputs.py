@@ -12,16 +12,24 @@ an RCS2 file, and a hand-built tuple of its matrices):
   round 0;
 
 and the ``run_trial`` rows of all four methods at (n, s) = (700, 7) and
-(2002, 20), every column but the timings ``wall_time_s`` and
-``gen_time_s``, so harness edits are checked too.
+(2002, 20) with sigma_w = 0.1, and at (700, 7) with sigma_w = 2, every
+column but the timings ``wall_time_s`` and ``gen_time_s``, together with
+each method's predicted support at those trials as ``harness._run_method``
+returns it, so harness edits are checked too.  At sigma_w = 2 OMP misses
+part of the support, and which part moves with the noise draw while its
+scores need not, so a change to the baselines' inputs shows there.
 
 OpenBLAS is held at one thread, so the digest does not depend on the
-core count.  Run it on two source trees and compare the lines it prints:
+core count.  Run it on one source tree, or against a git revision:
 
-    python tools/hash_outputs.py [SOURCE_DIR]
+    python tools/hash_outputs.py [SOURCE_DIR] [--against REF]
 
 ``SOURCE_DIR`` is the directory holding the ``randcs`` package (default:
-this checkout's ``src``).  It takes well under a minute.
+this checkout's ``src``).  With ``--against REF``, REF's ``src`` is
+exported with ``git archive`` into a temporary directory, both trees are
+hashed, each in a process of its own, and both digests are printed; the
+exit status is 1 when they differ and 2 when REF cannot be exported.  One
+tree takes well under a minute.
 """
 
 from __future__ import annotations
@@ -30,18 +38,23 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-SOURCE = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src"
 
 CELLS = ((300, 17, 4), (700, 5, 3), (2000, 305, 4), (2002, 40, 3), (4001, 17, 3))
 NOISE = ((0.1, "experiment"), (0.0, "theory"))
-TRIAL_CELLS = ((700, 7), (2002, 20))
+TRIAL_CELLS = ((700, 7, 0.1), (2002, 20, 0.1), (700, 7, 2.0))
 TRIALS = 3
 
 
@@ -105,16 +118,54 @@ def main(source: Path) -> str:
                     for method in ("biht", "nbiht"):
                         got = getattr(baselines, method)(A, signs, budget, max_iters=30)
                         feed(f"{n} {name} z{i} {method}", got.values)
-    for n, s in TRIAL_CELLS:
+    for n, s, sigma_w in TRIAL_CELLS:
         grid = harness.ExperimentGrid(
-            n_values=(n,), sparsity_fractions=(s / n,), trials=TRIALS, master_seed=n + s
+            n_values=(n,), sparsity_fractions=(s / n,), trials=TRIALS, sigma_w=sigma_w,
+            master_seed=n + s,
         )
         for trial in range(TRIALS):
             for row in harness.run_trial(grid, n, s, trial):
                 kept = {k: v for k, v in vars(row).items() if k not in ("wall_time_s", "gen_time_s")}
                 digest.update(f"{type(row).__name__} {sorted(kept.items())!r}".encode())
+            # the rows keep only a support's scores; hash the support, from run_trial's inputs
+            config = harness.trial_config(grid, n, s, trial)
+            signal = sensing.generate_binary_signal(config.master_seed, n, s)
+            A1 = sensing.build_ensemble(config).matrices[0]
+            for method in grid.methods:
+                predicted = harness._run_method(grid, config, signal, method, A1)[0]
+                feed(f"{n},{s},{sigma_w} trial {trial} {method} predicted", frozenset(predicted))
     return digest.hexdigest()
 
 
+def against(ref: str, source: Path) -> int:
+    """Hash REF's ``src`` and ``source`` in two processes and print both digests.
+
+    Returns 0 when they agree, 1 when they differ and 2 when git cannot export REF.
+    """
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"], capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return 2
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as exported:
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(exported)
+        digests = []
+        for label, tree in ((ref, Path(exported) / "src"), (source, source)):
+            run = [sys.executable, __file__, str(tree)]
+            out = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
+            digests.append(out.stdout.strip())
+            print(f"{digests[-1]}  {label}")
+    return int(digests[0] != digests[1])
+
+
 if __name__ == "__main__":
-    print(main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else SOURCE))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("source", nargs="?", type=Path, default=SOURCE,
+                        help="directory holding the randcs package (default: this checkout's src)")
+    parser.add_argument("--against", metavar="REF",
+                        help="also hash REF's src, exported with git archive, and compare")
+    args = parser.parse_args()
+    source = args.source.resolve()
+    if args.against:
+        sys.exit(against(args.against, source))
+    print(main(source))
