@@ -40,7 +40,7 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
     Ties in magnitude are broken toward the lowest index.  Runs in
     expected linear time via selection of the s-th largest magnitude.
     """
-    n = x.shape[0]
+    n, s = x.shape[0], _integer(s, "s")
     if s <= 0:
         return np.zeros_like(x)
     if s >= n:

@@ -126,6 +126,7 @@ def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: flo
     -------
     (k, n) float64 ndarray
     """
+    k, n = _integer(k, "k"), _integer(n, "n")
     if k < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be at least 1x1, got {k}x{n}")
     if variance <= 0:

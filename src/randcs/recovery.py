@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, median
+from .numerics import DimensionMismatchError, _integer, median
 from .sensing import MeasurementEnsemble, SensingEnsemble, _back_project
 
 
@@ -115,9 +115,9 @@ def estimate_noise_floor(measurements: MeasurementEnsemble, rounds: range, k: in
     :class:`~randcs.numerics.DimensionMismatchError`.
     """
     _check_rounds(rounds, measurements.vectors.shape[0])
-    if k != measurements.k:
+    if _integer(k, "k") != measurements.k:
         raise DimensionMismatchError(f"k = {k} does not fit measurements of k = {measurements.k}")
-    return _noise_floor(measurements.vectors[rounds], k)
+    return _noise_floor(measurements.vectors[rounds], measurements.k)
 
 
 def recover_suppressed(

@@ -123,6 +123,7 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> np.n
     ``source`` may be a GaussianSource or a bare integer seed (which is
     taken as the dedicated signal stream of that seed).
     """
+    n, s = _integer(n, "n"), _integer(s, "s")
     if s < 1 or s > n:
         raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={s}, n={n}")
     if not isinstance(source, GaussianSource):
@@ -185,7 +186,9 @@ class LazyMatrices(Sequence):
 
     Holds no matrix data; each ``[r]`` access re-samples matrix r from
     stream r + 1 of the master seed.  Accessing the same index twice gives
-    bit-identical values.
+    bit-identical values.  ``r`` is an integer of any type, negative ones
+    counting from the end; anything else, a slice included, raises
+    ``ValueError``.
     """
 
     def __init__(self, master_seed: int, count: int, k: int, n: int):
@@ -198,8 +201,7 @@ class LazyMatrices(Sequence):
         return self._count
 
     def __getitem__(self, r: int) -> np.ndarray:
-        if isinstance(r, slice):
-            return [self[i] for i in range(*r.indices(self._count))]
+        r = _integer(r, "round")
         if r < 0:
             r += self._count
         if not 0 <= r < self._count:
@@ -482,7 +484,8 @@ def measure(
     Per-coordinate noise variance is sigma_w**2 in theory mode and
     sigma_w**2 / k in experiment mode; sigma_w = 0 gives noiseless
     products.  Noise vector r comes from stream 2*r0 + r + 1 of
-    ``noise_seed``.  Each product A[r] z sums z_i * A[r][:, i] over the
+    ``noise_seed``, an integer of any type, checked even when no noise is
+    drawn.  Each product A[r] z sums z_i * A[r][:, i] over the
     nonzero z_i in ascending i, without BLAS, so b[r] is the same bit for
     bit whether the ensemble is seeded or stored and at any thread count.
 
@@ -498,6 +501,7 @@ def measure(
     the caller's thread.
     """
     noise_sd = _noise_sd(sigma_w, noise_mode, ensemble.k)
+    noise_seed = _seed64(noise_seed, "noise_seed")
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (ensemble.n,):
         raise DimensionMismatchError(

@@ -42,6 +42,19 @@ class TestHardThreshold:
         assert np.array_equal(hard_threshold(x, 2), x)
         assert np.array_equal(hard_threshold(x, 5), x)
 
+    @pytest.mark.parametrize("s, message", [
+        (2.5, r"s must be an integer, got 2\.5"),
+        (2.0, r"s must be an integer, got 2\.0"),
+    ], ids=["2.5", "2.0"])
+    def test_non_integral_budget_rejected(self, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hard_threshold(np.array([0.5, -3.0, 1.0, 2.0]), s)
+
+    def test_numpy_integer_budget_agrees(self):
+        x = np.array([0.5, -3.0, 1.0, 2.0, -0.1])
+        for s in (np.int32(2), np.uint64(2)):
+            assert hard_threshold(x, s).tobytes() == hard_threshold(x, 2).tobytes()
+
     def test_against_sort_oracle_random(self):
         rng = np.random.Generator(np.random.Philox(key=44))
         for _ in range(1000):

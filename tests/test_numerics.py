@@ -201,6 +201,19 @@ class TestSampleGaussianMatrix:
         with pytest.raises(ValueError):
             sample_gaussian_matrix(GaussianSource(7), 2, 2, var)
 
+    @pytest.mark.parametrize("k, n, message", [
+        (3.0, 4, r"k must be an integer, got 3\.0"),
+        (3, 4.0, r"n must be an integer, got 4\.0"),
+    ], ids=["k=3.0", "n=4.0"])
+    def test_non_integral_shape_rejected(self, k, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_gaussian_matrix(GaussianSource(7), k, n, 1.0)
+
+    def test_numpy_integer_shape_agrees(self):
+        plain = sample_gaussian_matrix(GaussianSource(7), 3, 4, 1.0).tobytes()
+        for k, n in ((np.int32(3), np.uint64(4)), (np.uint64(3), np.int32(4))):
+            assert sample_gaussian_matrix(GaussianSource(7), k, n, 1.0).tobytes() == plain
+
 
 class TestMedian:
     def test_singleton(self):

@@ -213,7 +213,8 @@ class TestRecoverBasic:
         perm = [3, 0, 4, 1, 2]
         shuffled_ens = SensingEnsemble(
             n=10, k=8, r0=5, master_seed=21,
-            matrices=tuple(ens.matrices[p] for p in perm) + tuple(ens.matrices[5:]),
+            matrices=tuple(ens.matrices[p] for p in perm)
+            + tuple(ens.matrices[r] for r in range(5, 10)),
         )
         shuffled_meas = MeasurementEnsemble(
             vectors=np.vstack([meas.vectors[perm], meas.vectors[5:]]),
@@ -275,6 +276,22 @@ class TestEstimateNoiseFloor:
         with pytest.raises(DimensionMismatchError, match="does not fit"):
             estimate_noise_floor(meas, range(8, 16), 1)
         assert estimate_noise_floor(meas, range(8, 16), 305).threshold > 0
+
+    @pytest.mark.parametrize("k, message", [
+        (9.0, r"k must be an integer, got 9\.0"),
+        (9.5, r"k must be an integer, got 9\.5"),
+    ], ids=["9.0", "9.5"])
+    def test_non_integral_k_rejected(self, k, message):
+        vectors = np.random.default_rng(5).standard_normal((4, 9))
+        meas = MeasurementEnsemble(vectors=vectors, n=40, k=9, r0=2, master_seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_noise_floor(meas, range(2, 4), k)
+
+    def test_numpy_integer_k_agrees(self):
+        vectors = np.random.default_rng(5).standard_normal((4, 9))
+        meas = MeasurementEnsemble(vectors=vectors, n=40, k=9, r0=2, master_seed=0)
+        floors = [estimate_noise_floor(meas, range(2, 4), k) for k in (9, np.int32(9), np.uint64(9))]
+        assert len({np.array([f.sigma2, f.threshold]).tobytes() for f in floors}) == 1
 
     def test_concentration_of_median_energy(self):
         # median of 200 round energies stays inside the +/- sqrt(6/k)

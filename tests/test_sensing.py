@@ -78,6 +78,20 @@ class TestGenerateBinarySignal:
         b = generate_binary_signal(GaussianSource(7).stream(0), 50, 5)
         assert frozenset(np.flatnonzero(a)) == frozenset(np.flatnonzero(b))
 
+    @pytest.mark.parametrize("n, s, message", [
+        (40.0, 2, r"n must be an integer, got 40\.0"),
+        (40, 3.0, r"s must be an integer, got 3\.0"),
+        (40, 2.5, r"s must be an integer, got 2\.5"),
+    ], ids=["n=40.0", "s=3.0", "s=2.5"])
+    def test_non_integral_sizes_rejected(self, n, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_binary_signal(7, n, s)
+
+    def test_numpy_integer_sizes_agree(self):
+        plain = generate_binary_signal(7, 40, 2).tobytes()
+        assert generate_binary_signal(7, np.int32(40), np.uint64(2)).tobytes() == plain
+        assert generate_binary_signal(7, np.uint64(40), np.int32(2)).tobytes() == plain
+
 
 class TestRecoveryConfig:
     def test_benchmark_cell_defaults(self):
@@ -224,6 +238,15 @@ class TestBuildEnsemble:
             view[4]
         assert np.array_equal(view[-1], view[3])
 
+    @pytest.mark.parametrize("index, message", [
+        (1.0, r"round must be an integer, got 1\.0"),
+        (slice(1, 3), r"round must be an integer, got slice\(1, 3, None\)"),
+    ], ids=["1.0", "slice"])
+    def test_non_integral_round_rejected(self, index, message):
+        ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ens.matrices[index]
+
     def test_regenerate_into_bit_identical(self):
         # more rounds than sampling threads, so every thread reuses its
         # buffer: each round is still the draw from its own stream
@@ -357,6 +380,12 @@ class TestMeasure:
         one = measure(ens, z, 0.0, "experiment", 1)
         three = measure(ens, 3.0 * z, 0.0, "experiment", 1)
         assert np.allclose(three.vectors, 3.0 * one.vectors, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sigma_w", [0.0, 0.1])
+    def test_non_integral_noise_seed_rejected(self, sigma_w):
+        ens = build_ensemble(RecoveryConfig(n=40, s=2, k=9, r0=2, master_seed=5))
+        with pytest.raises(ValueError, match=r"^noise_seed must be an integer, got 1\.5$"):
+            measure(ens, generate_binary_signal(5, 40, 2), sigma_w, "theory", 1.5)
 
     def test_theory_mode_noise_variance(self):
         # z = 0, k = 100: pooled coordinates have variance sigma_w^2 within 5%
