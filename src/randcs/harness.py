@@ -355,17 +355,11 @@ def summarize(results: Sequence[TrialResult]) -> list[SummaryRow]:
     for r in results:
         groups.setdefault((r.method, r.n, r.s), []).append(r)
 
-    rand_time: dict[tuple[int, int], float] = {
-        (n, s): float(np.mean([r.wall_time_s for r in rs]))
-        for (method, n, s), rs in groups.items()
-        if method == "rand"
-    }
-
+    mean_time = {key: float(np.mean([r.wall_time_s for r in rs])) for key, rs in groups.items()}
     rows = []
     for (method, n, s), rs in groups.items():
         accs = np.array([r.R for r in rs])
-        mean_time = float(np.mean([r.wall_time_s for r in rs]))
-        base = rand_time.get((n, s))
+        mean, base = mean_time[method, n, s], mean_time.get(("rand", n, s))
         rows.append(
             SummaryRow(
                 method=method,
@@ -373,26 +367,29 @@ def summarize(results: Sequence[TrialResult]) -> list[SummaryRow]:
                 s=s,
                 mean_R=float(np.mean(accs)),
                 var_R=float(np.var(accs)),
-                mean_time_s=mean_time,
-                speedup_vs_rand=None if base is None else mean_time / base,
+                mean_time_s=mean,
+                speedup_vs_rand=None if base is None else mean / base,
             )
         )
     return rows
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return "" if value is None else format(value, ".17g" if isinstance(value, float) else "")
+
+
+def _write_csv(path, columns: Sequence[str], rows: Iterable) -> None:
+    """Write each row's ``columns`` under a header, floats at 17 significant digits, None blank."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(getattr(row, col)) for col in columns])
 
 
 def emit_csv(results: Sequence[TrialResult], path) -> None:
     """Write one row per trial in the fixed column order, floats at 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in results:
-            writer.writerow([_fmt(getattr(r, col)) for col in CSV_COLUMNS])
+    _write_csv(path, CSV_COLUMNS, results)
 
 
 def load_results(path) -> list[TrialResult]:
@@ -444,10 +441,4 @@ def emit_summary(rows: Sequence[SummaryRow], path, csv_path=None) -> None:
         for line in table:
             fh.write("  ".join(val.rjust(w) for val, w in zip(line, widths)).rstrip() + "\n")
 
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                ["" if getattr(r, c) is None else _fmt(getattr(r, c)) for c in SUMMARY_COLUMNS]
-            )
+    _write_csv(csv_path, SUMMARY_COLUMNS, rows)

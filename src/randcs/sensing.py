@@ -31,15 +31,17 @@ thread count.
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
 ascending i and without BLAS, so b[r] is the same bit for bit for a seeded
-and a stored ensemble, at any thread count.  A stored ensemble is one
-C-contiguous (2*r0, n, k) stack of sampling buffers, ``matrices[r]`` being
-its view ``stack[r].T``: an ``RCS2`` fixture as read, an ``RCS1`` one
-(row-major, still read) or a hand-built sequence copied in once.  So every
-matrix is column-major, and at one BLAS thread A^T b is the same bit for
-bit too.  A stored ensemble's pass hands every requested round over at
-once, as one view of the stack, on the caller's thread, with no pool and
-BLAS at its usual thread count: a stored measurement is one support sum
-over the stack and one batched A^T b.
+and a stored ensemble, at any thread count.  Every ensemble's ``matrices``
+is one :class:`LazyMatrices`, which answers every round index by one rule.
+A seeded one re-samples matrix r; a stored one holds the ensemble's only
+copy of its matrices, one C-contiguous (2*r0, n, k) stack of sampling
+buffers, and answers the view ``stack[r].T``: an ``RCS2`` fixture as read,
+an ``RCS1`` one (row-major, still read) transposed once, or a hand-built
+sequence copied in once.  So every matrix is column-major, and at one BLAS
+thread A^T b is the same bit for bit too.  A stored ensemble's pass hands
+every requested round over at once, as one view of the stack, on the
+caller's thread, with no pool and BLAS at its usual thread count: a stored
+measurement is one support sum over the stack and one batched A^T b.
 """
 
 from __future__ import annotations
@@ -182,20 +184,32 @@ class RecoveryConfig:
 
 
 class LazyMatrices(Sequence):
-    """The sensing matrices of a seeded ensemble, regenerated from their streams.
+    """The ``count`` (k, n) sensing matrices of an ensemble, seeded or stored.
 
-    Holds no matrix data; each ``[r]`` access re-samples matrix r from
-    stream r + 1 of the master seed.  Accessing the same index twice gives
-    bit-identical values.  ``r`` is an integer of any type, negative ones
-    counting from the end; anything else, a slice included, raises
-    ``ValueError``.
+    Without ``stack`` it is seeded and holds no matrix data: each ``[r]``
+    access re-samples matrix r from stream r + 1 of the master seed, and
+    accessing the same index twice gives bit-identical values.  With one it
+    is stored: ``stack`` is the C-contiguous (count, n, k) stack of sampling
+    buffers (see the module), kept uncopied, and ``[r]`` is its view
+    ``stack[r].T``; a stack of another shape or with a non-finite entry
+    raises ``ValueError``.  Both forms take ``r`` by one rule: an integer of
+    any type, negative ones counting from the end; anything else, a slice
+    included, raises ``ValueError``, and a round outside [0, count)
+    ``IndexError``.
     """
 
-    def __init__(self, master_seed: int, count: int, k: int, n: int):
+    def __init__(
+        self, master_seed: int, count: int, k: int, n: int, stack: np.ndarray | None = None
+    ):
+        if stack is not None and stack.shape != (count, n, k):
+            raise ValueError(f"expected a {(count, n, k)} stack, got shape {stack.shape}")
+        # a measurement sums only the signal's support columns, so an inf or
+        # NaN elsewhere would never show in b; refuse it here instead
+        for r, buffer in enumerate(() if stack is None else stack):
+            if not _is_finite_matrix(buffer):
+                raise ValueError(f"sensing matrix {r} has a non-finite entry")
         self._source = GaussianSource(master_seed)
-        self._count = count
-        self._k = k
-        self._n = n
+        self._count, self._k, self._n, self._stack = count, k, n, stack
 
     def __len__(self) -> int:
         return self._count
@@ -206,6 +220,8 @@ class LazyMatrices(Sequence):
             r += self._count
         if not 0 <= r < self._count:
             raise IndexError(f"round index {r} out of range for {self._count} rounds")
+        if self._stack is not None:
+            return self._stack[r].T
         return sample_gaussian_matrix(self._source.stream(r + 1), self._k, self._n, 1.0 / self._k)
 
 
@@ -240,10 +256,13 @@ def _is_finite_matrix(A: np.ndarray) -> bool:
 class SensingEnsemble:
     """2*r0 sensing matrices, each k-by-n with N(0, 1/k) entries.
 
-    ``matrices[r]`` is reproducible from (master_seed, r) alone.  For an
-    ensemble from :func:`build_ensemble` it is a :class:`LazyMatrices` that
-    holds no matrix.  A stored ensemble copies the (k, n) matrices once into
-    its stack (see the module) and keeps ``matrices`` as views of it.
+    ``matrices`` is always a :class:`LazyMatrices`.  For an ensemble from
+    :func:`build_ensemble` it is seeded and holds no matrix, and
+    ``matrices[r]`` is reproducible from (master_seed, r) alone.  Any other
+    sequence of (k, n) matrices is copied once into a stored one's stack
+    (see the module).  A ``LazyMatrices`` whose k or n differs from the
+    ensemble's raises ``ValueError``, as does a seeded one of another
+    master seed; a stored one's seed is only its fixture header's label.
     """
 
     n: int
@@ -251,30 +270,23 @@ class SensingEnsemble:
     r0: int
     master_seed: int
     matrices: Sequence[np.ndarray]
-    # a stored ensemble's C-contiguous (2*r0, n, k) stack; None for a seeded one
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.matrices) != 2 * self.r0:
+        if len(m := self.matrices) != 2 * self.r0:
             raise ValueError(
-                f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, "
-                f"got {len(self.matrices)}"
+                f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, got {len(m)}"
             )
-        if isinstance(self.matrices, LazyMatrices):
-            return
-        if isinstance(m := self.matrices, np.ndarray) and m.shape == (2 * self.r0, self.k, self.n):
-            # a fixture's payload: RCS2 is the stack's transposed view, kept uncopied
-            stack = np.ascontiguousarray(m.transpose(0, 2, 1), dtype=np.float64)
-        else:  # copied once through the stack's (2*r0, k, n) view; another shape raises
+        if not isinstance(m, LazyMatrices):
+            # copied once through the stack's (2*r0, k, n) view; another shape raises
             stack = np.empty((2 * self.r0, self.n, self.k))
-            np.stack(list(self.matrices), out=stack.transpose(0, 2, 1))
-        # a measurement sums only the signal's support columns, so an inf or
-        # NaN elsewhere would never show in b; refuse it here instead
-        for r, buffer in enumerate(stack):
-            if not _is_finite_matrix(buffer):
-                raise ValueError(f"sensing matrix {r} has a non-finite entry")
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "matrices", tuple(stack.transpose(0, 2, 1)))
+            np.stack(list(m), out=stack.transpose(0, 2, 1))
+            m = LazyMatrices(self.master_seed, 2 * self.r0, self.k, self.n, stack)
+            object.__setattr__(self, "matrices", m)
+        # a stored ensemble's seed only labels its fixture header
+        other_seed = m._stack is None and m._source != GaussianSource(self.master_seed)
+        if (m._k, m._n) != (self.k, self.n) or other_seed:
+            raise ValueError(f"matrices of k={m._k}, n={m._n}, seed {m._source.master_seed} do not "
+                             f"fit an ensemble of k={self.k}, n={self.n}, seed {self.master_seed}")
 
 
 def build_ensemble(config: RecoveryConfig) -> SensingEnsemble:
@@ -328,7 +340,7 @@ def _each_round(
     it returns or raises.
     """
     global _sampling_pool
-    if (stack := ensemble._stack) is not None:
+    if (stack := ensemble.matrices._stack) is not None:
         # rounds are checked to lie in the stack, so a negative stop only ends a descent at 0
         view = stack[rounds.start : None if rounds.stop < 0 else rounds.stop : rounds.step]
         take(rounds, iter((view,)))
@@ -598,19 +610,21 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
 def load_ensemble(path) -> SensingEnsemble:
     """Read an ensemble fixture written by :func:`dump_ensemble`, or an older RCS1 one.
 
-    An RCS2 payload is kept as the ensemble's stack, uncopied; an RCS1 one
-    (row-major (k, n) matrices) is copied into a stack once.
+    The stack read becomes a stored :class:`LazyMatrices`: an RCS2 payload
+    as read, uncopied; an RCS1 one (row-major (k, n) matrices) transposed
+    into a stack once.
     """
     magic, n, k, r0, seed, payload = _read_fixture(path, _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
     expected = 2 * r0 * k * n
     if payload.size != expected:
         raise ValueError(f"{path}: expected {expected} matrix entries, found {payload.size}")
     if magic == _ENSEMBLE_MAGIC:
-        stacked = payload.reshape(2 * r0, n, k).transpose(0, 2, 1)
+        stack = payload.reshape(2 * r0, n, k)
     else:
-        stacked = payload.reshape(2 * r0, k, n)
+        stack = np.ascontiguousarray(payload.reshape(2 * r0, k, n).transpose(0, 2, 1))
     try:
-        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=stacked)
+        matrices = LazyMatrices(seed, 2 * r0, k, n, stack)
+        return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

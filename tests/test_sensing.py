@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -194,11 +195,12 @@ class TestNumpyIntegerSeeds:
         assert files[0].read_bytes() == files[2].read_bytes()
         assert files[1].read_bytes() == files[3].read_bytes()
 
-    @pytest.mark.parametrize("index", [np.int64(1), np.int32(-1), np.uint64(1)], ids=repr)
+    @pytest.mark.parametrize("index", [np.int64(1), np.int32(-1), np.uint64(1), -1], ids=repr)
     def test_matrix_index(self, index, tmp_path):
+        # every form answers an integer round of any type with the seeded bytes
         ens = build_ensemble(RecoveryConfig(n=40, s=2, k=9, r0=2, master_seed=5))
-        for form in (ens, _dumped(ens, tmp_path)):
-            assert np.array_equal(form.matrices[index], ens.matrices[int(index)])
+        for name, form in _forms(ens, tmp_path).items():
+            assert form.matrices[index].tobytes() == ens.matrices[int(index)].tobytes(), name
 
 
 class TestBuildEnsemble:
@@ -242,10 +244,21 @@ class TestBuildEnsemble:
         (1.0, r"round must be an integer, got 1\.0"),
         (slice(1, 3), r"round must be an integer, got slice\(1, 3, None\)"),
     ], ids=["1.0", "slice"])
-    def test_non_integral_round_rejected(self, index, message):
+    def test_non_integral_round_rejected(self, index, message, tmp_path):
+        # the seeded form and every stored one go through the one integer rule
         ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=99))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ens.matrices[index]
+        for form in _forms(ens, tmp_path).values():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                form.matrices[index]
+
+    @pytest.mark.parametrize("index, shown", [(4, 4), (-5, -1), (np.uint64(4), 4)], ids=repr)
+    def test_round_out_of_range_rejected(self, index, shown, tmp_path):
+        # a negative round is reported after it counts from the end
+        ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=2, master_seed=99))
+        message = f"^round index {shown} out of range for 4 rounds$"
+        for form in _forms(ens, tmp_path).values():
+            with pytest.raises(IndexError, match=message):
+                form.matrices[index]
 
     def test_regenerate_into_bit_identical(self):
         # more rounds than sampling threads, so every thread reuses its
@@ -334,6 +347,40 @@ class TestBuildEnsemble:
         ens = build_ensemble(cfg)
         pooled = np.concatenate([m.ravel() for m in ens.matrices])
         assert abs(pooled.var() - 1 / 200) < 0.05 / 200
+
+    @pytest.mark.parametrize("seed, k, n, stack", [
+        (3, 4, 16, None),
+        (3, 8, 32, None),
+        (4, 8, 16, None),
+        (3, 4, 16, np.zeros((4, 16, 4))),
+        (3, 8, 32, np.zeros((4, 32, 8))),
+    ], ids=["k", "n", "seed", "stored k", "stored n"])
+    def test_mismatched_matrices_rejected(self, seed, k, n, stack):
+        # matrices of another shape, or seeded from another seed, would be
+        # measured as if they were the ensemble's
+        matrices = LazyMatrices(seed, 4, k, n, stack)
+        with pytest.raises(ValueError, match=r"^matrices of k=\d+, n=\d+, seed \d+ do not fit "
+                                             r"an ensemble of k=8, n=16, seed 3$"):
+            SensingEnsemble(n=16, k=8, r0=2, master_seed=3, matrices=matrices)
+
+    def test_matching_matrices_accepted(self, tmp_path):
+        # a seed is compared as the 64-bit word the streams take, and a
+        # stored ensemble's seed labels its header alone
+        ens = SensingEnsemble(n=16, k=8, r0=2, master_seed=np.uint64(2**64 - 1),
+                              matrices=LazyMatrices(-1, 4, 8, 16))
+        stored = _dumped(ens, tmp_path)
+        relabelled = dataclasses.replace(stored, master_seed=5)
+        assert relabelled.matrices is stored.matrices
+        dump_ensemble(relabelled, tmp_path / "relabelled.bin")
+        assert load_ensemble(tmp_path / "relabelled.bin").master_seed == 5
+        for r in range(4):
+            assert relabelled.matrices[r].tobytes() == ens.matrices[r].tobytes()
+
+    def test_stack_of_another_shape_rejected(self):
+        # a (2*r0, k, n) stack of matrices is not a stack of sampling buffers
+        message = r"^expected a \(4, 16, 8\) stack, got shape \(4, 8, 16\)$"
+        with pytest.raises(ValueError, match=message):
+            LazyMatrices(3, 4, 8, 16, np.zeros((4, 8, 16)))
 
     def test_wrong_matrix_count_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +485,26 @@ def _dumped(ens, directory):
     path = directory / "ens.bin"
     dump_ensemble(ens, path)
     return load_ensemble(path)
+
+
+def _forms(seeded, directory):
+    """The seeded ensemble and each of its stored forms, by name.
+
+    The stored forms are read back from RCS2 and RCS1 files, built from a
+    tuple and from a (2*r0, k, n) array of the matrices, and the RCS2 one
+    relabelled with another seed by ``dataclasses.replace``.
+    """
+    _write_rcs1(directory / "ens.rcs1", seeded)
+    rcs2 = _dumped(seeded, directory)
+    shape = dict(n=seeded.n, k=seeded.k, r0=seeded.r0, master_seed=seeded.master_seed)
+    return {
+        "seeded": seeded,
+        "RCS2": rcs2,
+        "RCS1": load_ensemble(directory / "ens.rcs1"),
+        "tuple": SensingEnsemble(**shape, matrices=tuple(seeded.matrices)),
+        "array": SensingEnsemble(**shape, matrices=np.stack(list(seeded.matrices))),
+        "relabelled": dataclasses.replace(rcs2, master_seed=seeded.master_seed + 1),
+    }
 
 
 def _unkept(meas):

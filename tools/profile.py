@@ -1,0 +1,187 @@
+"""End-to-end profile of randcs trials on fixed cells, written to ``BENCH_<label>.json``.
+
+    python tools/profile.py --label L
+
+Runs every method alone through ``harness.run_trial`` at three fixed cells
+(n=2000 at 1 %, n=4000 at 2 % and n=8000 at 1 % sparsity, the grid's
+default k, r0, noise and master seed), 3 trials each.  Each
+(cell, method) runs in a fresh Python process, so its peak RSS is its own.
+Per trial it records:
+
+* ``end_to_end_s``: the row's ``gen_time_s + wall_time_s``, the inputs the
+  method consumed and its recovery call (``wall_time_s`` keeps its meaning);
+* ``run_trial_s``: the wall time of the whole ``run_trial`` call, signal
+  included;
+* ``cpu_s``: the process CPU seconds of that call, all threads summed, so
+  ``cpu_s / run_trial_s`` shows how many cores the trial kept busy;
+* ``maxrss_mb``: ``ru_maxrss`` of the process after the trial.
+
+The file also records the machine (nproc, CPU model, Python, numpy, its
+BLAS and BLAS thread count) and two calibration rates measured in the same
+run, before the cells and in a process of their own: single-thread
+Gaussian draws per second, filling an (8000, 1438) buffer from a Philox
+stream, and the seconds of one (1438, 8000) GEMV ``A.T @ b`` on a
+column-major A, as a back-projection runs.  Later files compare after dividing by them: ``calibrated`` holds
+each cell's median ``end_to_end_s`` in units of one (8000, 1438) draw and
+of one GEMV.
+
+The file goes to the repository root; nothing under ``src/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from randcs import harness, sensing  # noqa: E402
+
+CELLS = ((2000, 0.01), (4000, 0.02), (8000, 0.01))
+METHODS = ("rand", "omp", "biht", "nbiht")
+TRIALS = 3
+# the calibration shapes: one n=8000, 1 % round
+CAL_N, CAL_K = 8000, 1438
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _machine() -> dict:
+    blas = {}
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: deps.get(key) for key in ("name", "version", "openblas configuration")}
+    except (KeyError, TypeError):  # numpy builds differ in what they report
+        pass
+    threads = sensing._openblas_threads()
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": None if threads is None else threads[0](),
+    }
+
+
+def _calibrate(repeats: int = 7, gemvs: int = 50) -> dict:
+    buffer = np.empty((CAL_N, CAL_K))
+    draws = []
+    for r in range(repeats):
+        generator = np.random.Generator(np.random.Philox(key=[1, r]))
+        start = time.perf_counter()
+        generator.standard_normal(out=buffer)
+        draws.append(time.perf_counter() - start)
+    A = buffer.T  # column-major (k, n), as a sampled matrix is
+    b = np.random.Generator(np.random.Philox(key=[2, 0])).standard_normal(CAL_K)
+    times = []
+    for _ in range(gemvs):
+        start = time.perf_counter()
+        A.T @ b
+        times.append(time.perf_counter() - start)
+    draw_s, gemv_s = statistics.median(draws), statistics.median(times)
+    return {
+        "draw_shape": [CAL_N, CAL_K],
+        "draw_s": draw_s,
+        "normals_per_s": CAL_N * CAL_K / draw_s,
+        "draw_repeats": repeats,
+        "gemv_shape": [CAL_K, CAL_N],
+        "gemv_s": gemv_s,
+        "gemv_quartiles_s": statistics.quantiles(times, n=4)[::2],
+        "gemv_repeats": gemvs,
+    }
+
+
+def _one(n: int, fraction: float, method: str, trials: int) -> dict:
+    """Run ``trials`` trials of one method at one cell in this process."""
+    grid = harness.ExperimentGrid(
+        n_values=(n,), sparsity_fractions=(fraction,), trials=trials, methods=(method,)
+    )
+    (_, s), = grid.cells()
+    config = harness.trial_config(grid, n, s, 0)
+    rows = []
+    for trial in range(trials):
+        cpu, wall = time.process_time(), time.perf_counter()
+        (row,) = harness.run_trial(grid, n, s, trial)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        if not isinstance(row, harness.TrialResult):
+            raise RuntimeError(f"{method} at n={n}, s={s}, trial {trial} failed: {row.error}")
+        rows.append({
+            "trial": trial,
+            "end_to_end_s": row.gen_time_s + row.wall_time_s,
+            "gen_time_s": row.gen_time_s,
+            "wall_time_s": row.wall_time_s,
+            "run_trial_s": wall,
+            "cpu_s": cpu,
+            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "R": row.R,
+        })
+    return {"n": n, "fraction": fraction, "s": s, "k": config.k, "r0": config.r0,
+            "master_seed": grid.master_seed, "method": method, "trials": rows}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="the file written is BENCH_<label>.json at the repo root")
+    parser.add_argument("--one", nargs="+", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.one:
+        if args.one == ["calibrate"]:
+            print(json.dumps(_calibrate()))
+        else:
+            n, fraction, method, trials = args.one
+            print(json.dumps(_one(int(n), float(fraction), method, int(trials))))
+        return 0
+    if not args.label or "/" in args.label:
+        parser.error("--label must be given, without a slash")
+
+    def child(*words) -> dict:
+        # a child inherits its parent's ru_maxrss, so this process allocates no matrix
+        out = subprocess.run([sys.executable, __file__, "--one", *map(str, words)],
+                             check=True, capture_output=True, text=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    report = {"label": args.label, "command": f"python tools/profile.py --label {args.label}",
+              "machine": _machine(), "calibration": child("calibrate"), "cells": []}
+    for n, fraction in CELLS:
+        for method in METHODS:
+            cell = child(n, fraction, method, TRIALS)
+            e2e = [t["end_to_end_s"] for t in cell["trials"]]
+            cell["median_end_to_end_s"] = statistics.median(e2e)
+            cell["median_cpu_s"] = statistics.median(t["cpu_s"] for t in cell["trials"])
+            cell["peak_rss_mb"] = max(t["maxrss_mb"] for t in cell["trials"])
+            cell["calibrated"] = {
+                "draws": cell["median_end_to_end_s"] / report["calibration"]["draw_s"],
+                "gemvs": cell["median_end_to_end_s"] / report["calibration"]["gemv_s"],
+            }
+            report["cells"].append(cell)
+            print(f"n={n} s={cell['s']} {method}: median end to end "
+                  f"{cell['median_end_to_end_s']:.4f} s, cpu {cell['median_cpu_s']:.4f} s, "
+                  f"peak rss {cell['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
