@@ -1,8 +1,8 @@
 """Numeric primitives shared by every other module.
 
 Seed derivation, seedable Gaussian sampling on counter-based streams and
-sort-based medians.  Everything here is a pure function of its
-inputs: the same seeds always reproduce the same values.
+a sort-based median along the first axis.  Everything here is a pure
+function of its inputs: the same seeds always reproduce the same values.
 """
 
 from __future__ import annotations
@@ -136,25 +136,15 @@ def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: flo
     return cols.T
 
 
-def median(values, axis: int | None = None):
-    """Median from a sort along the axis.
+def median(values) -> np.ndarray | float:
+    """The median along the first axis, from a sort along it.
 
-    Odd length gives the exact middle order statistic; even length gives
-    the arithmetic mean of the two middle order statistics.  With an
-    ``axis``, medians are taken along that axis of a 2-D array.
-
-    Returns a float for 1-D input, an ndarray when ``axis`` is given.
+    An odd length gives the middle order statistic, copied out of the sort;
+    an even one gives half the sum of the two middle order statistics.  So
+    a 1-D input gives one number and a 2-D one each column's median.
     """
-    a = np.asarray(values, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("median of an empty collection is undefined")
-    scalar = axis is None
-    if scalar:
-        a = a.ravel()
-        axis = 0
-    ordered = np.sort(a, axis=axis)
-    mid = a.shape[axis] // 2
-    out = np.take(ordered, mid, axis=axis)
-    if a.shape[axis] % 2 == 0:
-        out = 0.5 * (np.take(ordered, mid - 1, axis=axis) + out)
-    return float(out) if scalar else out
+    ordered = np.sort(np.asarray(values, dtype=np.float64), axis=0)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return np.take(ordered, mid, axis=0)
+    return 0.5 * (ordered[mid - 1] + ordered[mid])

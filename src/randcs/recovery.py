@@ -56,8 +56,11 @@ def _check_fits(ensemble: SensingEnsemble, measurements: MeasurementEnsemble) ->
 
 
 def _noise_floor(vectors: np.ndarray, k: int) -> NoiseFloor:
-    """sigma2, the median of the rows' squared norms, and the threshold 2 * sqrt(sigma2 / k)."""
-    sigma2 = median(np.einsum("rk,rk->r", vectors, vectors))
+    """sigma2, the median of the rows' squared norms, and the threshold 2 * sqrt(sigma2 / k).
+
+    The median of one norm per row is one number, kept as a Python float.
+    """
+    sigma2 = float(median(np.einsum("rk,rk->r", vectors, vectors)))
     return NoiseFloor(sigma2=sigma2, threshold=2.0 * math.sqrt(sigma2 / k))
 
 
@@ -73,7 +76,7 @@ def _estimate(
         v = _back_project(ensemble, measurements, range(ensemble.r0))
         values = (np.abs(v) >= floor.threshold).sum(axis=0) >= math.ceil(ensemble.r0 / 2)
     else:
-        values = median(_back_project(ensemble, measurements, range(ensemble.r0)), axis=0)
+        values = median(_back_project(ensemble, measurements, range(ensemble.r0)))
         if method == "suppressed":
             values = np.where(np.abs(values) < floor.threshold, 0.0, values)
     return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)))

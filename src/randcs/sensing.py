@@ -146,6 +146,13 @@ def _noise_sd(sigma_w: float, noise_mode: str, k: int) -> float:
     return sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
 
 
+def _size(value, name: str) -> int:
+    """A size, count or round count under the integer rule; one below 1 raises ``ValueError``."""
+    if (size := _integer(value, name)) < 1:
+        raise ValueError(f"need {name} >= 1, got {name}={size}")
+    return size
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Problem dimensions, round count, noise convention, and seed.
@@ -195,12 +202,14 @@ class LazyMatrices(Sequence):
     raises ``ValueError``.  Both forms take ``r`` by one rule: an integer of
     any type, negative ones counting from the end; anything else, a slice
     included, raises ``ValueError``, and a round outside [0, count)
-    ``IndexError``.
+    ``IndexError``.  ``count``, ``k`` and ``n`` take the same integer rule,
+    each at least 1.
     """
 
     def __init__(
         self, master_seed: int, count: int, k: int, n: int, stack: np.ndarray | None = None
     ):
+        count, k, n = _size(count, "count"), _size(k, "k"), _size(n, "n")
         if stack is not None and stack.shape != (count, n, k):
             raise ValueError(f"expected a {(count, n, k)} stack, got shape {stack.shape}")
         # a measurement sums only the signal's support columns, so an inf or
@@ -263,6 +272,8 @@ class SensingEnsemble:
     (see the module).  A ``LazyMatrices`` whose k or n differs from the
     ensemble's raises ``ValueError``, as does a seeded one of another
     master seed; a stored one's seed is only its fixture header's label.
+    n, k and r0 are integers of any type, kept as Python ints, each at
+    least 1; anything else raises ``ValueError``.
     """
 
     n: int
@@ -272,6 +283,8 @@ class SensingEnsemble:
     matrices: Sequence[np.ndarray]
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "r0"):
+            object.__setattr__(self, name, _size(getattr(self, name), name))
         if len(m := self.matrices) != 2 * self.r0:
             raise ValueError(
                 f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, got {len(m)}"
@@ -462,7 +475,11 @@ def _add_noise(Az: np.ndarray, r: int, r0: int, noise_sd: float, noise_seed: int
 
 @dataclass(frozen=True, eq=False)
 class MeasurementEnsemble:
-    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite."""
+    """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite.
+
+    n, k and r0 are integers of any type, kept as Python ints, each at
+    least 1; anything else raises ``ValueError``.
+    """
 
     vectors: np.ndarray
     n: int
@@ -475,6 +492,8 @@ class MeasurementEnsemble:
     )
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "r0"):
+            object.__setattr__(self, name, _size(getattr(self, name), name))
         if self.vectors.ndim != 2 or self.vectors.shape != (2 * self.r0, self.k):
             raise ValueError(
                 f"expected a (2*r0, k) = ({2 * self.r0}, {self.k}) measurement array, "
@@ -578,8 +597,6 @@ def _read_fixture(path, *magics: bytes) -> tuple[bytes, int, int, int, int, np.n
         magic, n, k, r0, seed = _HEADER.unpack(header)
         if magic not in magics:
             raise ValueError(f"{path}: bad magic {magic!r}, expected one of {magics}")
-        if min(n, k, r0) < 1:
-            raise ValueError(f"{path}: header needs n, k and r0 of at least 1, got {n}, {k}, {r0}")
         payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload_bytes % 8:
             raise ValueError(f"{path}: {payload_bytes}-byte payload is not whole float64 values")

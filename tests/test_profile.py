@@ -35,3 +35,20 @@ def test_label_is_required(capsys):
     with pytest.raises(SystemExit):
         profile.main([])
     assert "--label" in capsys.readouterr().err
+
+
+def test_cell_summary_calibrates_each_trial_by_its_sweep():
+    calibrations = [{"draw_s": 0.5, "gemv_s": 0.01}, {"draw_s": 1.0, "gemv_s": 0.02}]
+    runs = [{"n": 300, "method": "rand", "trials": [
+        {"end_to_end_s": e2e, "cpu_s": 2 * e2e, "maxrss_mb": rss} for e2e, rss in trials]}
+        for trials in ([(1.0, 40.0), (2.0, 41.0)], [(2.0, 50.0), (4.0, 45.0)])]
+    cell = profile._cell_summary(runs, calibrations)
+    assert (cell["n"], cell["method"]) == (300, "rand")
+    assert [t["sweep"] for t in cell["trials"]] == [0, 0, 1, 1]
+    assert cell["end_to_end_s"]["median"] == 2.0
+    assert cell["cpu_s"]["median"] == 4.0
+    # one peak per process, its largest ru_maxrss
+    assert cell["peak_rss_mb"]["median"] == pytest.approx(45.5)
+    # both sweeps read 2 and 4 draws once divided by their own draw time
+    assert cell["calibrated"]["draws"]["median"] == 3.0
+    assert cell["calibrated"]["gemvs"]["median"] == 150.0

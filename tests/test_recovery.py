@@ -182,6 +182,15 @@ class TestRecoverBasic:
         expected = back_project(ens, meas, range(1))[0]
         assert np.array_equal(got.values, expected)
 
+    @pytest.mark.parametrize("r0", [1, 3, 4])
+    def test_values_own_their_data(self, r0):
+        # the median is copied out of the (r0, n) sort, not a view that holds it
+        ens = build_ensemble(RecoveryConfig(n=30, s=2, k=12, r0=r0, master_seed=8))
+        meas = measure(ens, generate_binary_signal(8, 30, 2), 0.1, "experiment", 8)
+        got = recover_basic(ens, meas)
+        assert got.values.base is None
+        assert got.values.shape == (30,)
+
     def test_zero_signal_noiseless_recovers_zero(self):
         cfg = RecoveryConfig(n=12, s=1, k=6, r0=3, master_seed=4)
         ens = build_ensemble(cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import struct
@@ -403,6 +404,55 @@ class TestBuildEnsemble:
             assert not np.isfinite(matrices[3].sum())
         ens = SensingEnsemble(n=4, k=2, r0=2, master_seed=0, matrices=tuple(matrices))
         assert ens.matrices[3][0, 1] == 1e308
+
+
+# each record that takes sizes, built from keyword sizes with the others at a fitting default
+_SIZED = {
+    "seeded": lambda n=16, k=8, r0=2: SensingEnsemble(n=n, k=k, r0=r0, master_seed=3,
+                                                      matrices=LazyMatrices(3, 4, 8, 16)),
+    "stored": lambda n=16, k=8, r0=2: SensingEnsemble(n=n, k=k, r0=r0, master_seed=3,
+                                                      matrices=(np.ones((8, 16)),) * 4),
+    "measurements": lambda n=16, k=8, r0=2: MeasurementEnsemble(np.ones((4, 8)), n, k, r0, 3),
+    "matrices": lambda count=4, k=8, n=16: LazyMatrices(3, count, k, n),
+}
+_SIZES = [(record, size.name, size.default) for record, make in _SIZED.items()
+          for size in inspect.signature(make).parameters.values()]
+
+
+class TestSizes:
+    """n, k and r0 of both ensembles and count, k and n of LazyMatrices follow the integer rule."""
+
+    @pytest.mark.parametrize("record, name, value", [
+        *((record, name, float(default)) for record, name, default in _SIZES),
+        ("measurements", "n", 16.5), ("seeded", "k", "8"),
+    ], ids=repr)
+    def test_non_integral_size_rejected(self, record, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            _SIZED[record](**{name: value})
+
+    @pytest.mark.parametrize("record, name, value", [
+        *((record, name, 0) for record, name, _ in _SIZES),
+        ("stored", "n", -16), ("measurements", "r0", np.int64(-1)),
+    ], ids=repr)
+    def test_size_below_one_rejected(self, record, name, value):
+        with pytest.raises(ValueError, match=rf"^need {name} >= 1, got {name}={value}$"):
+            _SIZED[record](**{name: value})
+
+    @pytest.mark.parametrize("record", _SIZED)
+    def test_numpy_integer_sizes_kept_as_python_ints(self, record):
+        sizes = {name: default for at, name, default in _SIZES if at == record}
+        got = _SIZED[record](**{name: kind(value) for (name, value), kind
+                                in zip(sizes.items(), (np.int64, np.uint8, np.int32))})
+        # LazyMatrices keeps its sizes private
+        kept = {name: getattr(got, name if record != "matrices" else f"_{name}") for name in sizes}
+        assert kept == sizes and all(type(value) is int for value in kept.values())
+
+    def test_zero_round_ensembles_refused(self):
+        # an r0 = 0 ensemble was accepted, and recover_basic then raised IndexError
+        with pytest.raises(ValueError, match=r"^need r0 >= 1, got r0=0$"):
+            SensingEnsemble(n=16, k=8, r0=0, master_seed=3, matrices=())
+        with pytest.raises(ValueError, match=r"^need r0 >= 1, got r0=0$"):
+            MeasurementEnsemble(np.ones((0, 8)), 16, 8, 0, 3)
 
 
 class TestMeasure:

@@ -4,9 +4,10 @@
 
 Runs every method alone through ``harness.run_trial`` at three fixed cells
 (n=2000 at 1 %, n=4000 at 2 % and n=8000 at 1 % sparsity, the grid's
-default k, r0, noise and master seed), 3 trials each.  Each
-(cell, method) runs in a fresh Python process, so its peak RSS is its own.
-Per trial it records:
+default k, r0, noise and master seed).  The run is 5 sweeps; each sweep
+measures the calibration rates, then runs every (cell, method) in a fresh
+Python process, 5 trials each, so a peak RSS is its process's own and
+drift over the run falls on every cell alike.  Per trial it records:
 
 * ``end_to_end_s``: the row's ``gen_time_s + wall_time_s``, the inputs the
   method consumed and its recovery call (``wall_time_s`` keeps its meaning);
@@ -14,16 +15,18 @@ Per trial it records:
   included;
 * ``cpu_s``: the process CPU seconds of that call, all threads summed, so
   ``cpu_s / run_trial_s`` shows how many cores the trial kept busy;
-* ``maxrss_mb``: ``ru_maxrss`` of the process after the trial.
+* ``maxrss_mb``: ``ru_maxrss`` of the process after the trial;
+* ``sweep``: the sweep it ran in.
 
 The file also records the machine (nproc, CPU model, Python, numpy, its
-BLAS and BLAS thread count) and two calibration rates measured in the same
-run, before the cells and in a process of their own: single-thread
-Gaussian draws per second, filling an (8000, 1438) buffer from a Philox
-stream, and the seconds of one (1438, 8000) GEMV ``A.T @ b`` on a
-column-major A, as a back-projection runs.  Later files compare after dividing by them: ``calibrated`` holds
-each cell's median ``end_to_end_s`` in units of one (8000, 1438) draw and
-of one GEMV.
+BLAS and BLAS thread count) and two calibration rates, measured at the
+start of every sweep in a process of their own: single-thread Gaussian
+draws per second, filling an (8000, 1438) buffer from a Philox stream,
+and the seconds of one (1438, 8000) GEMV ``A.T @ b`` on a column-major A,
+as a back-projection runs.  Each cell gives the median and quartiles of
+its trials' ``end_to_end_s`` and ``cpu_s``, of its processes' peak RSS,
+and, under ``calibrated``, of each trial's ``end_to_end_s`` divided by its
+own sweep's draw and GEMV times.  Files are compared on those.
 
 The file goes to the repository root; nothing under ``src/`` is changed.
 """
@@ -50,7 +53,10 @@ from randcs import harness, sensing  # noqa: E402
 
 CELLS = ((2000, 0.01), (4000, 0.02), (8000, 0.01))
 METHODS = ("rand", "omp", "biht", "nbiht")
-TRIALS = 3
+# trials per process, and sweeps: each sweep calibrates, then runs every
+# (cell, method) once in a fresh process
+TRIALS = 5
+SWEEPS = 5
 # the calibration shapes: one n=8000, 1 % round
 CAL_N, CAL_K = 8000, 1438
 
@@ -139,6 +145,37 @@ def _one(n: int, fraction: float, method: str, trials: int) -> dict:
             "master_seed": grid.master_seed, "method": method, "trials": rows}
 
 
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "quartiles": [q1, q3]}
+
+
+def _calibration_summary(calibrations: list[dict]) -> dict:
+    """The median of each rate over the sweeps, and every sweep's calibration."""
+    draw_s = statistics.median(c["draw_s"] for c in calibrations)
+    return {"draw_shape": [CAL_N, CAL_K], "draw_s": draw_s, "normals_per_s": CAL_N * CAL_K / draw_s,
+            "gemv_shape": [CAL_K, CAL_N],
+            "gemv_s": statistics.median(c["gemv_s"] for c in calibrations), "runs": calibrations}
+
+
+def _cell_summary(runs: list[dict], calibrations: list[dict]) -> dict:
+    """One (cell, method) over its sweeps; ``runs[i]`` ran in sweep i, after ``calibrations[i]``.
+
+    Each trial is calibrated by its own sweep's rates, so drift between
+    sweeps divides out.  The peak RSS is one value per process.
+    """
+    cell = {key: value for key, value in runs[0].items() if key != "trials"}
+    cell["trials"] = [dict(t, sweep=i) for i, run in enumerate(runs) for t in run["trials"]]
+    cell["end_to_end_s"] = _spread([t["end_to_end_s"] for t in cell["trials"]])
+    cell["cpu_s"] = _spread([t["cpu_s"] for t in cell["trials"]])
+    cell["peak_rss_mb"] = _spread([max(t["maxrss_mb"] for t in run["trials"]) for run in runs])
+    cell["calibrated"] = {
+        unit: _spread([t["end_to_end_s"] / calibrations[t["sweep"]][key] for t in cell["trials"]])
+        for unit, key in (("draws", "draw_s"), ("gemvs", "gemv_s"))
+    }
+    return cell
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", help="the file written is BENCH_<label>.json at the repo root")
@@ -161,22 +198,24 @@ def main(argv: list[str] | None = None) -> int:
         return json.loads(out.splitlines()[-1])
 
     report = {"label": args.label, "command": f"python tools/profile.py --label {args.label}",
-              "machine": _machine(), "calibration": child("calibrate"), "cells": []}
-    for n, fraction in CELLS:
-        for method in METHODS:
-            cell = child(n, fraction, method, TRIALS)
-            e2e = [t["end_to_end_s"] for t in cell["trials"]]
-            cell["median_end_to_end_s"] = statistics.median(e2e)
-            cell["median_cpu_s"] = statistics.median(t["cpu_s"] for t in cell["trials"])
-            cell["peak_rss_mb"] = max(t["maxrss_mb"] for t in cell["trials"])
-            cell["calibrated"] = {
-                "draws": cell["median_end_to_end_s"] / report["calibration"]["draw_s"],
-                "gemvs": cell["median_end_to_end_s"] / report["calibration"]["gemv_s"],
-            }
-            report["cells"].append(cell)
-            print(f"n={n} s={cell['s']} {method}: median end to end "
-                  f"{cell['median_end_to_end_s']:.4f} s, cpu {cell['median_cpu_s']:.4f} s, "
-                  f"peak rss {cell['peak_rss_mb']:.1f} MB", file=sys.stderr)
+              "machine": _machine(), "sweeps": SWEEPS, "trials": TRIALS, "calibration": {},
+              "cells": []}
+    runs = {(n, fraction, method): [] for n, fraction in CELLS for method in METHODS}
+    calibrations = []
+    for sweep in range(SWEEPS):
+        calibrations.append(child("calibrate"))
+        for (n, fraction, method), cell_runs in runs.items():
+            cell_runs.append(child(n, fraction, method, TRIALS))
+            print(f"sweep {sweep}: n={n} {method} done", file=sys.stderr)
+    report["calibration"] = _calibration_summary(calibrations)
+    for cell_runs in runs.values():
+        cell = _cell_summary(cell_runs, calibrations)
+        report["cells"].append(cell)
+        e2e, cal = cell["end_to_end_s"], cell["calibrated"]
+        print(f"n={cell['n']} s={cell['s']} {cell['method']}: end to end {e2e['median']:.4f} s "
+              f"[{e2e['quartiles'][0]:.4f}, {e2e['quartiles'][1]:.4f}], "
+              f"{cal['draws']['median']:.3f} draws, {cal['gemvs']['median']:.2f} GEMVs, "
+              f"peak rss {cell['peak_rss_mb']['median']:.1f} MB", file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
