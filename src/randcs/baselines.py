@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, _integer
+from .numerics import DimensionMismatchError, _finite, _integer
 from .recovery import RecoveredSignal
-from .sensing import _is_finite_matrix, _signal_product
+from .sensing import _signal_product
 
 _PIVOT_RTOL = 1e-12
 
@@ -69,10 +69,8 @@ def sign_quantize(A: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"cannot multiply {A.shape} matrix by vector of dim {z.shape}"
         )
-    if not np.isfinite(z).all():
-        raise ValueError("signal must be finite")
-    if not _is_finite_matrix(A):
-        raise ValueError("sensing matrix must be finite")
+    _finite(z, "signal")
+    _finite(A, "sensing matrix")
     return _sign_pm1(_signal_product(A, z))
 
 
@@ -116,18 +114,15 @@ def omp_steps(A: np.ndarray, b: np.ndarray, s_budget: int) -> Iterator[OmpState]
     Raises :class:`RankDeficiencyError` when a new column is numerically
     dependent on the selected ones (pivot below 1e-12 of the first pivot),
     and ``ValueError`` for a non-finite A or b or an ``s_budget`` that is not
-    an integer.
+    an integer in [0, min(k, n)].
     """
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
             f"cannot run matching pursuit with {A.shape} matrix and dim-{b.shape} vector"
         )
-    if not np.isfinite(b).all():
-        raise ValueError("measurement vector must be finite")
+    _finite(b, "measurement vector")
     k, n = A.shape
-    s_budget = _integer(s_budget, "s_budget")
-    if not 0 <= s_budget <= min(k, n):
-        raise ValueError(f"sparsity budget must lie in [0, min(k, n)], got {s_budget}")
+    s_budget = _integer(s_budget, "s_budget", 0, min(k, n))
 
     col_norms = _column_norms(A)
     if not np.isfinite(col_norms).all():
@@ -239,8 +234,7 @@ def iht_steps(
     ``max_iters`` an integer of at least 1, and A and ``signs`` finite;
     anything else raises ``ValueError``.
     """
-    if _integer(max_iters, "max_iters") < 1:
-        raise ValueError(f"need at least one iteration, got {max_iters}")
+    max_iters = _integer(max_iters, "max_iters", 1)
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step size must be finite and positive, got {step}")
     if A.ndim != 2 or signs.ndim != 1 or A.shape[0] != signs.shape[0]:
@@ -248,13 +242,9 @@ def iht_steps(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
     k, n = A.shape
-    s_budget = _integer(s_budget, "s_budget")
-    if not 0 <= s_budget <= n:
-        raise ValueError(f"sparsity budget must lie in [0, n], got {s_budget} for n={n}")
-    if not np.isfinite(signs).all():
-        raise ValueError("sign vector must be finite")
-    if not _is_finite_matrix(A):
-        raise ValueError("sensing matrix must be finite")
+    s_budget = _integer(s_budget, "s_budget", 0, n)
+    _finite(signs, "sign vector")
+    _finite(A, "sensing matrix")
     x = np.zeros(n)
     fixed = False
     for _ in range(max_iters):

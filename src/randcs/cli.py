@@ -100,6 +100,7 @@ def _run_bench(args) -> int:
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             print(f"randcs bench: the directory of {path} does not exist", file=sys.stderr)
             return USAGE_ERROR
+    made = [path for path in (args.out, args.summary, twin) if not os.path.lexists(path)]
     try:
         grid = ExperimentGrid(
             n_values=tuple(args.n),
@@ -115,9 +116,15 @@ def _run_bench(args) -> int:
             biht_step=args.biht_step,
             workers=args.workers,
         )
-    except ValueError as exc:
+        # an output the run cannot open is refused now, not after the grid
+        for path in (args.out, args.summary, twin):
+            open(path, "a").close()
+    except (OSError, ValueError) as exc:
         print(f"randcs bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        for path in filter(os.path.exists, made):  # the probe leaves no file behind
+            os.remove(path)
 
     outcome = run_grid(grid)
     try:

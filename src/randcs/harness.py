@@ -63,7 +63,7 @@ class ExperimentGrid:
     Every (n, s) cell must make a valid ``RecoveryConfig``, whose error is
     re-raised with the cell named, and no method or cell may repeat.
     ``trials``, ``workers`` and ``biht_max_iters`` are integers of any type,
-    kept as Python ints; anything else raises ``ValueError``.
+    kept as Python ints, each at least 1; anything else raises ``ValueError``.
     """
 
     n_values: tuple[int, ...]
@@ -85,19 +85,13 @@ class ExperimentGrid:
         if not self.sparsity_fractions:
             raise ValueError("at least one sparsity fraction is required")
         for name in ("trials", "workers", "biht_max_iters"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         unknown = set(self.methods) - set(METHODS)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
         repeated = [m for m, count in Counter(self.methods).items() if count > 1]
         if repeated:
             raise ValueError(f"methods must not repeat, got {repeated} more than once")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
-        if self.biht_max_iters < 1:
-            raise ValueError(f"biht_max_iters must be at least 1, got {self.biht_max_iters}")
         if not (np.isfinite(self.biht_step) and self.biht_step > 0):
             raise ValueError(f"biht_step must be finite and positive, got {self.biht_step}")
         for f in self.sparsity_fractions:

@@ -1,8 +1,10 @@
 """Numeric primitives shared by every other module.
 
-Seed derivation, seedable Gaussian sampling on counter-based streams and
-a sort-based median along the first axis.  Everything here is a pure
-function of its inputs: the same seeds always reproduce the same values.
+Seed derivation, seedable Gaussian sampling on counter-based streams, a
+sort-based median along the first axis, and the two argument rules every
+module checks its inputs by: :func:`_integer` for sizes, counts and seeds,
+:func:`_finite` for arrays.  Everything here is a pure function of its
+inputs: the same seeds always reproduce the same values.
 """
 
 from __future__ import annotations
@@ -25,17 +27,38 @@ class DimensionMismatchError(ValueError):
     """Shapes of interacting operands do not conform."""
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """The one integer rule: any integer type, numpy's included, as a Python int.
 
-    Sizes, counts, seeds, stream indices and seed words all go through it.
-    Anything else, a whole float such as 40.0 included, raises
-    ``ValueError`` naming ``name`` and the value.
+    Sizes, counts, budgets, seeds, stream indices and seed words all go
+    through it.  Anything else, a whole float such as 40.0 included, raises
+    ``ValueError`` naming ``name`` and the value.  So does an integer below
+    ``lo`` or above ``hi`` (``hi`` is read only with ``lo``):
+    ``"need lo <= name <= hi, got name=value"``, or ``"need name >= lo, ..."``
+    when there is no ``hi``.
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"need {bounds}, got {name}={value}")
+    return value
+
+
+def _finite(values: np.ndarray, what: str) -> None:
+    """The one finiteness test: ``ValueError("<what> has a non-finite entry")`` unless all are.
+
+    A finite sum settles it in one pass, with no array-sized temporary; a
+    sum that overflowed or met an inf or NaN falls back to min and max,
+    which propagate NaN and hold any infinity.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if values.size == 0 or np.isfinite(values.sum()):
+            return
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{what} has a non-finite entry")
 
 
 def _seed64(x, name: str = "seed") -> int:
@@ -118,19 +141,18 @@ def sample_gaussian_matrix(source: GaussianSource, k: int, n: int, variance: flo
     source : GaussianSource
         Stream identity; the call always reads the stream from its start.
     k, n : int
-        Row and column counts, both at least 1.
+        Row and column counts, integers of at least 1 under :func:`_integer`.
     variance : float
-        Entry variance, strictly positive.
+        Entry variance, finite and strictly positive.
 
     Returns
     -------
     (k, n) float64 ndarray
     """
-    k, n = _integer(k, "k"), _integer(n, "n")
-    if k < 1 or n < 1:
-        raise ValueError(f"matrix dimensions must be at least 1x1, got {k}x{n}")
-    if variance <= 0:
-        raise ValueError(f"entry variance must be positive, got {variance}")
+    k, n = _integer(k, "k", 1), _integer(n, "n", 1)
+    # NaN fails every comparison, so test finiteness explicitly
+    if not (np.isfinite(variance) and variance > 0):
+        raise ValueError(f"entry variance must be finite and positive, got {variance}")
     cols = source.generator().standard_normal((n, k))
     cols *= np.sqrt(variance)
     return cols.T

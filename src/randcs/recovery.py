@@ -45,8 +45,12 @@ class RecoveredSignal:
 
 
 def _check_rounds(rounds: range, available: int) -> None:
-    if not rounds or min(rounds[0], rounds[-1]) < 0 or max(rounds[0], rounds[-1]) >= available:
-        raise ValueError(f"round range {rounds} is empty or outside the {available} rounds")
+    """Refuse anything but a nonempty ``range`` of rounds within [0, available)."""
+    # a range's ends bound it; any other sequence could hold anything between them
+    if (not isinstance(rounds, range) or not rounds
+            or min(rounds[0], rounds[-1]) < 0 or max(rounds[0], rounds[-1]) >= available):
+        raise ValueError(f"rounds must be a nonempty range within the {available} rounds, "
+                         f"got {rounds!r}")
 
 
 def _check_fits(ensemble: SensingEnsemble, measurements: MeasurementEnsemble) -> None:
@@ -92,7 +96,8 @@ def back_project(
     are the products it kept.  Any other request is one batched product over
     a stored ensemble, or one pass that samples a seeded one's matrices on
     the shared sampling pool.  Measurements of another (n, k, r0) raise
-    :class:`~randcs.numerics.DimensionMismatchError`.
+    :class:`~randcs.numerics.DimensionMismatchError`; ``rounds`` that are not
+    a nonempty ``range`` within [0, 2*r0) raise ``ValueError``.
     """
     _check_fits(ensemble, measurements)
     _check_rounds(rounds, 2 * ensemble.r0)
@@ -114,8 +119,9 @@ def estimate_noise_floor(measurements: MeasurementEnsemble, rounds: range, k: in
     """Noise-floor estimate from the squared norms of the given measurement rounds.
 
     sigma2 is the median of ||b[r]||**2 over the rounds; the threshold is
-    2 * sqrt(sigma2 / k).  A ``k`` other than the measurements' own raises
-    :class:`~randcs.numerics.DimensionMismatchError`.
+    2 * sqrt(sigma2 / k).  ``rounds`` that are not a nonempty ``range``
+    within [0, 2*r0) raise ``ValueError``, and a ``k`` other than the
+    measurements' own :class:`~randcs.numerics.DimensionMismatchError`.
     """
     _check_rounds(rounds, measurements.vectors.shape[0])
     if _integer(k, "k") != measurements.k:

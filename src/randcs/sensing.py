@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import (DimensionMismatchError, GaussianSource, _integer, _seed64,
+from .numerics import (DimensionMismatchError, GaussianSource, _finite, _integer, _seed64,
                        sample_gaussian_matrix)
 
 SIGNAL_STREAM = 0
@@ -123,11 +123,11 @@ def generate_binary_signal(source: GaussianSource | int, n: int, s: int) -> np.n
     """A 0/1 float64 signal of length n with exactly s ones at uniformly chosen coordinates.
 
     ``source`` may be a GaussianSource or a bare integer seed (which is
-    taken as the dedicated signal stream of that seed).
+    taken as the dedicated signal stream of that seed).  n and s follow
+    :func:`~randcs.numerics._integer`'s rule, with 1 <= s <= n.
     """
-    n, s = _integer(n, "n"), _integer(s, "s")
-    if s < 1 or s > n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= n, got s={s}, n={n}")
+    n = _integer(n, "n")
+    s = _integer(s, "s", 1, n)
     if not isinstance(source, GaussianSource):
         source = GaussianSource(source).stream(SIGNAL_STREAM)
     chosen = source.generator().choice(n, size=s, replace=False)
@@ -146,13 +146,6 @@ def _noise_sd(sigma_w: float, noise_mode: str, k: int) -> float:
     return sigma_w if noise_mode == "theory" else sigma_w / math.sqrt(k)
 
 
-def _size(value, name: str) -> int:
-    """A size, count or round count under the integer rule; one below 1 raises ``ValueError``."""
-    if (size := _integer(value, name)) < 1:
-        raise ValueError(f"need {name} >= 1, got {name}={size}")
-    return size
-
-
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Problem dimensions, round count, noise convention, and seed.
@@ -161,7 +154,8 @@ class RecoveryConfig:
     ceil(ln n).  ``noise_mode`` selects the per-coordinate noise variance:
     ``"theory"`` uses sigma_w**2, ``"experiment"`` uses sigma_w**2 / k.
     n, s, k and r0 may be integers of any type, numpy's included, and are
-    kept as Python ints; a float such as 40.0 raises ``ValueError``.
+    kept as Python ints; a float such as 40.0 raises ``ValueError``, as do
+    an s outside [1, n] and a k or r0, given or default, below 1.
     ``master_seed``, an integer of any type too, is kept as its 64-bit
     value, as the streams take it.
     """
@@ -175,17 +169,12 @@ class RecoveryConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "s", "k", "r0"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, _integer(value, name))
-        if not 1 <= self.s <= self.n:
-            raise ValueError(f"need 1 <= s <= n, got s={self.s}, n={self.n}")
-        if self.k is None:
-            object.__setattr__(self, "k", default_measurement_count(self.n, self.s))
-        if self.r0 is None:
-            object.__setattr__(self, "r0", default_round_count(self.n))
-        if self.k < 1 or self.r0 < 1:
-            raise ValueError(f"need k >= 1 and r0 >= 1, got k={self.k}, r0={self.r0}")
+        n = _integer(self.n, "n")
+        s = _integer(self.s, "s", 1, n)
+        k = _integer(default_measurement_count(n, s) if self.k is None else self.k, "k", 1)
+        r0 = _integer(default_round_count(n) if self.r0 is None else self.r0, "r0", 1)
+        for name, value in (("n", n), ("s", s), ("k", k), ("r0", r0)):
+            object.__setattr__(self, name, value)
         _noise_sd(self.sigma_w, self.noise_mode, self.k)
         object.__setattr__(self, "master_seed", _seed64(self.master_seed, "master_seed"))
 
@@ -203,20 +192,19 @@ class LazyMatrices(Sequence):
     any type, negative ones counting from the end; anything else, a slice
     included, raises ``ValueError``, and a round outside [0, count)
     ``IndexError``.  ``count``, ``k`` and ``n`` take the same integer rule,
-    each at least 1.
+    each at least 1, and the stack :func:`~randcs.numerics._finite`'s test.
     """
 
     def __init__(
         self, master_seed: int, count: int, k: int, n: int, stack: np.ndarray | None = None
     ):
-        count, k, n = _size(count, "count"), _size(k, "k"), _size(n, "n")
+        count, k, n = _integer(count, "count", 1), _integer(k, "k", 1), _integer(n, "n", 1)
         if stack is not None and stack.shape != (count, n, k):
             raise ValueError(f"expected a {(count, n, k)} stack, got shape {stack.shape}")
         # a measurement sums only the signal's support columns, so an inf or
         # NaN elsewhere would never show in b; refuse it here instead
         for r, buffer in enumerate(() if stack is None else stack):
-            if not _is_finite_matrix(buffer):
-                raise ValueError(f"sensing matrix {r} has a non-finite entry")
+            _finite(buffer, f"sensing matrix {r}")
         self._source = GaussianSource(master_seed)
         self._count, self._k, self._n, self._stack = count, k, n, stack
 
@@ -252,15 +240,6 @@ def _sampled(matrices: LazyMatrices, r: int, cols: np.ndarray) -> Iterator[np.nd
         yield block
 
 
-def _is_finite_matrix(A: np.ndarray) -> bool:
-    # a finite sum settles it in one pass; a sum that overflowed or met an inf
-    # or NaN falls back to min and max, which propagate NaN and hold any infinity
-    with np.errstate(over="ignore", invalid="ignore"):
-        if A.size == 0 or np.isfinite(A.sum()):
-            return True
-    return bool(np.isfinite(A.min()) and np.isfinite(A.max()))
-
-
 @dataclass(frozen=True, eq=False)
 class SensingEnsemble:
     """2*r0 sensing matrices, each k-by-n with N(0, 1/k) entries.
@@ -284,7 +263,7 @@ class SensingEnsemble:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "r0"):
-            object.__setattr__(self, name, _size(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if len(m := self.matrices) != 2 * self.r0:
             raise ValueError(
                 f"ensemble must hold exactly 2*r0 = {2 * self.r0} matrices, got {len(m)}"
@@ -478,7 +457,8 @@ class MeasurementEnsemble:
     """Measurement vectors b[r] = A[r] @ z + w[r], one row per round, all finite.
 
     n, k and r0 are integers of any type, kept as Python ints, each at
-    least 1; anything else raises ``ValueError``.
+    least 1; anything else, or a non-finite entry of ``vectors``, raises
+    ``ValueError``.
     """
 
     vectors: np.ndarray
@@ -493,14 +473,13 @@ class MeasurementEnsemble:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "r0"):
-            object.__setattr__(self, name, _size(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if self.vectors.ndim != 2 or self.vectors.shape != (2 * self.r0, self.k):
             raise ValueError(
                 f"expected a (2*r0, k) = ({2 * self.r0}, {self.k}) measurement array, "
                 f"got shape {self.vectors.shape}"
             )
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("measurement vectors must be finite")
+        _finite(self.vectors, "measurement array")
 
 
 def measure(
@@ -538,8 +517,7 @@ def measure(
         raise DimensionMismatchError(
             f"signal of shape {z.shape} does not fit an ensemble of dimension {ensemble.n}"
         )
-    if not np.isfinite(z).all():
-        raise ValueError("signal must be finite")
+    _finite(z, "signal")
     r0, k = ensemble.r0, ensemble.k
     support = np.flatnonzero(z)
     vectors = np.empty((2 * r0, k))

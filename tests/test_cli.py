@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import struct
@@ -82,7 +83,7 @@ class TestBenchCommand:
         # rejected with the grid, before any trial runs
         args, out, _ = bench_args(tmp_path)
         assert main(args + ["--k", "0"]) == 1
-        assert "cell n=128, s=3: need k >= 1 and r0 >= 1, got k=0" in capsys.readouterr().err
+        assert "cell n=128, s=3: need k >= 1, got k=0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_biht_step_is_usage_error(self, tmp_path, capsys):
@@ -107,7 +108,7 @@ class TestBenchCommand:
         args[args.index("--n") + 1] = "1"
         args[args.index("--sparsity-pct") + 1] = "100"
         assert main(args) == 1
-        assert "cell n=1, s=1: need k >= 1 and r0 >= 1" in capsys.readouterr().err
+        assert "cell n=1, s=1: need k >= 1, got k=0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_same_out_and_summary_is_usage_error(self, tmp_path, capsys):
@@ -172,6 +173,28 @@ class TestBenchCommand:
         assert f"{tmp_path / directory} is a directory" in captured.err
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_output_that_cannot_be_opened_is_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        # a file name too long for the file system used to fail only after the grid
+        # ran; with --summary, the results.csv the check opened first is removed again
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, _ = bench_args(tmp_path)
+        args[args.index(flag) + 1] = str(tmp_path / ("x" * 300))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"randcs bench: [Errno {errno.ENAMETOOLONG}]")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_run_keeps_an_existing_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, out, _ = bench_args(tmp_path)
+        out.write_text("earlier results\n")
+        args[args.index("--summary") + 1] = str(tmp_path / ("x" * 300))
+        assert main(args) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+        assert out.read_text() == "earlier results\n"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

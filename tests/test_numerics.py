@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from randcs.numerics import (
     DimensionMismatchError,
     GaussianSource,
+    _finite,
+    _integer,
     derive_seed,
     median,
     sample_gaussian_matrix,
@@ -163,6 +165,41 @@ class TestDeriveSeed:
             derive_seed(1.5, 2)
 
 
+class TestArgumentRules:
+    """``_integer`` with its bounds and ``_finite``, the two rules every input is checked by."""
+
+    @pytest.mark.parametrize("value, lo, hi, message", [
+        (0, 1, None, "need n >= 1, got n=0"),
+        (np.int64(-5), 0, None, "need n >= 0, got n=-5"),
+        (-1, 0, 4, "need 0 <= n <= 4, got n=-1"),
+        (5, 0, 4, "need 0 <= n <= 4, got n=5"),
+    ], ids=repr)
+    def test_out_of_bounds_rejected(self, value, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _integer(value, "n", lo, hi)
+
+    @pytest.mark.parametrize("value", [0, 2, np.uint8(4)], ids=repr)
+    def test_bounds_are_inclusive(self, value):
+        got = _integer(value, "n", 0, 4)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4)], ids=repr)
+    def test_non_finite_entry_rejected(self, shape, bad):
+        values = np.ones(shape)
+        values.flat[len(values.flat) // 2] = bad
+        with pytest.raises(ValueError, match=r"^signal has a non-finite entry$"):
+            _finite(values, "signal")
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0), np.ones((3, 4)), np.arange(6).reshape(2, 3), np.full(4, 1e308),
+        np.array([1e308, 1e308, -1e308]), np.ones((4, 8))[:, ::3],
+    ], ids=["empty", "ones", "integers", "overflowing sum", "overflowing partial sum", "strided"])
+    def test_finite_values_accepted(self, values):
+        # a sum that overflows is no sign of a non-finite entry
+        assert _finite(values, "signal") is None
+
+
 class TestSampleGaussianMatrix:
     def test_shape_and_dtype(self):
         A = sample_gaussian_matrix(GaussianSource(7), 3, 5, 1.0)
@@ -199,6 +236,12 @@ class TestSampleGaussianMatrix:
     @pytest.mark.parametrize("var", [0.0, -1.0])
     def test_bad_variance_rejected(self, var):
         with pytest.raises(ValueError):
+            sample_gaussian_matrix(GaussianSource(7), 2, 2, var)
+
+    @pytest.mark.parametrize("var", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_variance_rejected(self, var):
+        # a NaN variance passed `variance <= 0` and gave an all-NaN matrix, inf one of +-inf
+        with pytest.raises(ValueError, match=r"^entry variance must be finite and positive"):
             sample_gaussian_matrix(GaussianSource(7), 2, 2, var)
 
     @pytest.mark.parametrize("k, n, message", [

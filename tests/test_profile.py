@@ -52,3 +52,33 @@ def test_cell_summary_calibrates_each_trial_by_its_sweep():
     # both sweeps read 2 and 4 draws once divided by their own draw time
     assert cell["calibrated"]["draws"]["median"] == 3.0
     assert cell["calibrated"]["gemvs"]["median"] == 150.0
+
+
+def test_log_slope_of_a_power_law_is_its_exponent():
+    x = [1000.0, 2000.0, 4000.0, 8000.0]
+    assert profile.log_slope(x, [3e-9 * v**1.5 for v in x]) == pytest.approx(1.5, rel=1e-12)
+    # a least-squares fit: the noise about the line does not move it
+    assert profile.log_slope([1.0, 2.0, 4.0], [1.0, 2.0 * 1.1, 4.0]) == pytest.approx(1.0)
+
+
+def test_scaling_fits_each_sweep_on_the_doubling_series():
+    def cell(method, n, fraction, s, k, r0, times):
+        return {"method": method, "n": n, "fraction": fraction, "s": s, "k": k, "r0": r0,
+                "trials": [{"end_to_end_s": e2e, "sweep": sweep}
+                           for sweep, per_sweep in enumerate(times) for e2e in per_sweep]}
+
+    cells = []
+    for n in (1000, 2000, 4000, 8000):
+        s, k, r0 = n // 100, n // 10, 7
+        # rand's time follows k*n*r0 in sweep 0 and its square in sweep 1; omp is flat
+        work = k * n * r0
+        cells.append(cell("rand", n, 0.01, s, k, r0, [[work, 3 * work, 2 * work], [work**2]]))
+        cells.append(cell("omp", n, 0.01, s, k, r0, [[5.0], [5.0]]))
+    # a cell off the series is left out of the fit
+    cells.append(cell("rand", 4000, 0.02, 80, 800, 7, [[1.0], [1.0]]))
+    scaling = profile._scaling(cells, 2)
+    assert scaling["rand"]["against"] == "k*n*r0" and scaling["omp"]["against"] == "s*k*n"
+    assert scaling["rand"]["n"] == [1000, 2000, 4000, 8000]
+    assert scaling["rand"]["slopes"] == pytest.approx([1.0, 2.0])
+    assert scaling["rand"]["median"] == pytest.approx(1.5)
+    assert scaling["omp"]["slopes"] == pytest.approx([0.0, 0.0])

@@ -172,6 +172,21 @@ class TestBackProject:
             assert abs(cov) < 4.75 * se
 
 
+@pytest.mark.parametrize("rounds", [[0, -5, 1], (0, 1), [0, 99, 1], [3, 4, 5]], ids=repr)
+def test_rounds_other_than_a_range_rejected(rounds):
+    # only a range is bounded by its ends: [0, -5, 1] was read as rounds (0, 1), the tuple
+    # (0, 1) gave back_project a 0-d array and the noise floor an einsum error, and
+    # [0, 99, 1] raised IndexError
+    ens = build_ensemble(RecoveryConfig(n=16, s=2, k=8, r0=3, master_seed=4))
+    meas = measure(ens, generate_binary_signal(4, 16, 2), 0.1, "experiment", 4)
+    message = r"^rounds must be a nonempty range within the 6 rounds, got "
+    with pytest.raises(ValueError, match=message):
+        back_project(ens, meas, rounds)
+    with pytest.raises(ValueError, match=message):
+        estimate_noise_floor(meas, rounds, 8)
+    assert estimate_noise_floor(meas, range(3, 6), 8).sigma2 > 0
+
+
 class TestRecoverBasic:
     def test_single_round_is_back_projection(self):
         cfg = RecoveryConfig(n=12, s=2, k=6, r0=1, master_seed=4)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randcs.sensing as sensing
-from randcs.baselines import sign_quantize
+from randcs.baselines import biht, omp, sign_quantize
 from randcs.harness import ExperimentGrid, run_trial
 from randcs.numerics import GaussianSource, derive_seed, sample_gaussian_matrix
 from randcs.recovery import back_project, recover_suppressed
@@ -419,8 +419,92 @@ _SIZES = [(record, size.name, size.default) for record, make in _SIZED.items()
           for size in inspect.signature(make).parameters.values()]
 
 
+# a 6 x 10 matrix, a finite measurement through it and its signs, for the solvers' checks
+_A = sample_gaussian_matrix(GaussianSource(5), 6, 10, 1 / 6)
+_B = _A[:, 0] + _A[:, 3]
+_SIGNS = np.where(_B > 0, 1.0, -1.0)
+
+# every other bounded integer: (site, call taking the value, name, lo, hi or None)
+_BOUNDED = [
+    ("RecoveryConfig", lambda v: RecoveryConfig(n=10, s=v), "s", 1, 10),
+    ("RecoveryConfig", lambda v: RecoveryConfig(n=10, s=2, k=v), "k", 1, None),
+    ("RecoveryConfig", lambda v: RecoveryConfig(n=10, s=2, r0=v), "r0", 1, None),
+    ("generate_binary_signal", lambda v: generate_binary_signal(3, 10, v), "s", 1, 10),
+    ("sample_gaussian_matrix", lambda v: sample_gaussian_matrix(GaussianSource(7), v, 4, 1.0),
+     "k", 1, None),
+    ("sample_gaussian_matrix", lambda v: sample_gaussian_matrix(GaussianSource(7), 4, v, 1.0),
+     "n", 1, None),
+    *(("ExperimentGrid", lambda v, name=name: ExperimentGrid((64,), (0.05,), **{name: v}),
+       name, 1, None) for name in ("trials", "workers", "biht_max_iters")),
+    ("omp", lambda v: omp(_A, _B, v), "s_budget", 0, 6),
+    ("biht", lambda v: biht(_A, _SIGNS, v, max_iters=2), "s_budget", 0, 10),
+    ("biht", lambda v: biht(_A, _SIGNS, 2, max_iters=v), "max_iters", 1, None),
+]
+_CAPPED = [bounded for bounded in _BOUNDED if bounded[4] is not None]
+
+
+def _ids(sites):
+    return [f"{site}:{name}" for site, _, name, *_ in sites]
+
+
+def _bounds_message(name, lo, hi, value):
+    bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+    return f"^need {bounds}, got {name}={value}$"
+
+
+def _with_entry(array, bad):
+    """A copy of ``array`` with its last entry set to ``bad``."""
+    out = np.array(array, dtype=np.float64)
+    out.flat[-1] = bad
+    return out
+
+
+# every array checked for finiteness: (site, call taking the bad entry, what the message names)
+_FINITE = [
+    ("stored stack", lambda bad: LazyMatrices(3, 4, 8, 16, _with_entry(np.ones((4, 16, 8)), bad)),
+     "sensing matrix 3"),
+    ("MeasurementEnsemble", lambda bad: MeasurementEnsemble(_with_entry(np.ones((4, 8)), bad),
+                                                            16, 8, 2, 3), "measurement array"),
+    ("measure", lambda bad: measure(build_ensemble(RecoveryConfig(n=10, s=2, k=6, r0=2)),
+                                    _with_entry(np.ones(10), bad), 0.1, "theory", 1), "signal"),
+    ("sign_quantize", lambda bad: sign_quantize(_A, _with_entry(np.ones(10), bad)), "signal"),
+    ("sign_quantize", lambda bad: sign_quantize(_with_entry(_A, bad), np.ones(10)),
+     "sensing matrix"),
+    ("omp", lambda bad: omp(_A, _with_entry(_B, bad), 2), "measurement vector"),
+    ("biht", lambda bad: biht(_A, _with_entry(_SIGNS, bad), 2), "sign vector"),
+    ("biht", lambda bad: biht(_with_entry(_A, bad), _SIGNS, 2), "sensing matrix"),
+]
+
+
 class TestSizes:
-    """n, k and r0 of both ensembles and count, k and n of LazyMatrices follow the integer rule."""
+    """Every size, count and budget follows the integer rule and its bounds, and every array
+    the finiteness test, each with the shared message.
+
+    n, k and r0 of both ensembles and count, k and n of LazyMatrices are
+    sizes of at least 1; the other bounded integers are listed in ``_BOUNDED``.
+    """
+
+    @pytest.mark.parametrize("site, call, name, lo, hi", _BOUNDED, ids=_ids(_BOUNDED))
+    def test_value_below_lo_rejected(self, site, call, name, lo, hi):
+        with pytest.raises(ValueError, match=_bounds_message(name, lo, hi, lo - 1)):
+            call(lo - 1)
+
+    @pytest.mark.parametrize("site, call, name, lo, hi", _CAPPED, ids=_ids(_CAPPED))
+    def test_value_above_hi_rejected(self, site, call, name, lo, hi):
+        with pytest.raises(ValueError, match=_bounds_message(name, lo, hi, hi + 1)):
+            call(hi + 1)
+
+    @pytest.mark.parametrize("site, call, name, lo, hi", _BOUNDED, ids=_ids(_BOUNDED))
+    def test_values_at_the_bounds_accepted(self, site, call, name, lo, hi):
+        call(lo)
+        if hi is not None:
+            call(hi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("site, call, what", _FINITE, ids=_ids(_FINITE))
+    def test_non_finite_entry_rejected(self, site, call, what, bad):
+        with pytest.raises(ValueError, match=f"^{what} has a non-finite entry$"):
+            call(bad)
 
     @pytest.mark.parametrize("record, name, value", [
         *((record, name, float(default)) for record, name, default in _SIZES),

@@ -2,8 +2,8 @@
 
     python tools/profile.py --label L
 
-Runs every method alone through ``harness.run_trial`` at three fixed cells
-(n=2000 at 1 %, n=4000 at 2 % and n=8000 at 1 % sparsity, the grid's
+Runs every method alone through ``harness.run_trial`` at five fixed cells
+(n=1000, 2000, 4000 and 8000 at 1 % and n=4000 at 2 % sparsity, the grid's
 default k, r0, noise and master seed).  The run is 5 sweeps; each sweep
 measures the calibration rates, then runs every (cell, method) in a fresh
 Python process, 5 trials each, so a peak RSS is its process's own and
@@ -28,6 +28,12 @@ its trials' ``end_to_end_s`` and ``cpu_s``, of its processes' peak RSS,
 and, under ``calibrated``, of each trial's ``end_to_end_s`` divided by its
 own sweep's draw and GEMV times.  Files are compared on those.
 
+The 1 % cells form a doubling series in n, on which ``scaling`` reads the
+paper's runtime claim: for each sweep, the least-squares slope of log
+median ``end_to_end_s`` against log k*n*r0 for ``rand`` and against log
+s*k*n for ``omp``, and the median and quartiles of those slopes.  A slope
+of 1 is time in proportion to that work.
+
 The file goes to the repository root; nothing under ``src/`` is changed.
 """
 
@@ -51,7 +57,11 @@ import numpy as np  # noqa: E402
 
 from randcs import harness, sensing  # noqa: E402
 
-CELLS = ((2000, 0.01), (4000, 0.02), (8000, 0.01))
+CELLS = ((1000, 0.01), (2000, 0.01), (4000, 0.01), (4000, 0.02), (8000, 0.01))
+# the doubling series in n at s = n / 100, and the work each method's time is fitted against
+SERIES = ((1000, 0.01), (2000, 0.01), (4000, 0.01), (8000, 0.01))
+WORK = {"rand": ("k*n*r0", lambda c: c["k"] * c["n"] * c["r0"]),
+        "omp": ("s*k*n", lambda c: c["s"] * c["k"] * c["n"])}
 METHODS = ("rand", "omp", "biht", "nbiht")
 # trials per process, and sweeps: each sweep calibrates, then runs every
 # (cell, method) once in a fresh process
@@ -176,6 +186,27 @@ def _cell_summary(runs: list[dict], calibrations: list[dict]) -> dict:
     return cell
 
 
+def log_slope(x: list[float], y: list[float]) -> float:
+    """The least-squares slope of log y against log x."""
+    lx, ly = np.log(x), np.log(y)
+    lx -= lx.mean()
+    return float(lx @ (ly - ly.mean()) / (lx @ lx))
+
+
+def _scaling(cells: list[dict], sweeps: int) -> dict:
+    """Per method of ``WORK``: each sweep's slope over ``SERIES``, and their median and quartiles."""
+    out = {}
+    for method, (against, work) in WORK.items():
+        series = [c for c in cells if c["method"] == method and (c["n"], c["fraction"]) in SERIES]
+        slopes = [log_slope([work(c) for c in series],
+                            [statistics.median(t["end_to_end_s"] for t in c["trials"]
+                                               if t["sweep"] == sweep) for c in series])
+                  for sweep in range(sweeps)]
+        out[method] = {"against": against, "n": [c["n"] for c in series], "slopes": slopes,
+                       **_spread(slopes)}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", help="the file written is BENCH_<label>.json at the repo root")
@@ -199,14 +230,14 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {"label": args.label, "command": f"python tools/profile.py --label {args.label}",
               "machine": _machine(), "sweeps": SWEEPS, "trials": TRIALS, "calibration": {},
-              "cells": []}
+              "cells": [], "scaling": {}}
     runs = {(n, fraction, method): [] for n, fraction in CELLS for method in METHODS}
     calibrations = []
     for sweep in range(SWEEPS):
         calibrations.append(child("calibrate"))
         for (n, fraction, method), cell_runs in runs.items():
             cell_runs.append(child(n, fraction, method, TRIALS))
-            print(f"sweep {sweep}: n={n} {method} done", file=sys.stderr)
+            print(f"sweep {sweep}: n={n} {fraction:.0%} {method} done", file=sys.stderr)
     report["calibration"] = _calibration_summary(calibrations)
     for cell_runs in runs.values():
         cell = _cell_summary(cell_runs, calibrations)
@@ -216,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
               f"[{e2e['quartiles'][0]:.4f}, {e2e['quartiles'][1]:.4f}], "
               f"{cal['draws']['median']:.3f} draws, {cal['gemvs']['median']:.2f} GEMVs, "
               f"peak rss {cell['peak_rss_mb']['median']:.1f} MB", file=sys.stderr)
+    report["scaling"] = _scaling(report["cells"], SWEEPS)
+    for method, fit in report["scaling"].items():
+        print(f"{method}: slope against {fit['against']} {fit['median']:.3f} "
+              f"[{fit['quartiles'][0]:.3f}, {fit['quartiles'][1]:.3f}]", file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
