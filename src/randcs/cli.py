@@ -23,7 +23,7 @@ from .harness import (
     run_grid,
     summary_csv_path,
 )
-from .recovery import _estimate
+from .recovery import _METHODS, _estimate
 from .sensing import NOISE_MODES, load_ensemble, load_measurements
 
 USAGE_ERROR = 1
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover = sub.add_parser("recover", help="run one recovery on fixture files")
     recover.add_argument("--ensemble", required=True, help="ensemble fixture file")
     recover.add_argument("--measurements", required=True, help="measurements fixture file")
-    recover.add_argument("--algorithm", required=True, choices=("basic", "suppressed", "support"))
+    recover.add_argument("--algorithm", required=True, choices=_METHODS)
     recover.add_argument("--out", default=None,
                          help="write the recovered vector here as little-endian float64 "
                               "(basic and suppressed only)")
@@ -162,7 +162,6 @@ def _run_recover(args) -> int:
         print("randcs recover: ensemble and measurements headers disagree", file=sys.stderr)
         return USAGE_ERROR
 
-    # the --algorithm choices are the estimator's own method names
     result = _estimate(ensemble, measurements, args.algorithm)
     report = {"algorithm": args.algorithm, "n": ensemble.n, "k": ensemble.k, "r0": ensemble.r0,
               "seed": ensemble.master_seed, "support": sorted(result.support),

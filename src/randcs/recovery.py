@@ -12,11 +12,13 @@ back-projections v[r] = A[r]^T @ b[r] of rounds [0, r0), and the threshold
   in at least ceil(r0 / 2) rounds.
 
 The two halves are never mixed.  Each call checks once that the
-measurements' (n, k, r0) fit the ensemble.  ``recover_basic`` reads no
-threshold and takes none; the other two take it before any
-back-projection.  A zero threshold (all-zero or underflowing second-half
-measurements) clears no coordinate: the support is empty, the suppressed
-values are zero, and no round is back-projected.
+measurements' (n, k, r0) fit the ensemble, back-projects rounds [0, r0)
+and hands them, with the second-half measurements, to ``_rule``: the
+three rules as one function on arrays, which holds the noise floor, the
+zero-threshold rule, the vote and the suppressed median, and knows no
+ensemble.  ``recover_basic`` reads no threshold and takes none.  A zero
+threshold (all-zero or underflowing second-half measurements) clears no
+coordinate: the support is empty and the suppressed values are zero.
 """
 
 import math
@@ -26,6 +28,8 @@ import numpy as np
 
 from .numerics import DimensionMismatchError, _integer, median
 from .sensing import MeasurementEnsemble, SensingEnsemble, _back_project
+
+_METHODS = ("basic", "suppressed", "support")  # what _rule makes, and randcs recover's choices
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,29 @@ def _noise_floor(vectors: np.ndarray, k: int) -> NoiseFloor:
     return NoiseFloor(sigma2=sigma2, threshold=2.0 * math.sqrt(sigma2 / k))
 
 
+def _rule(v: np.ndarray, floor_rows: np.ndarray, k: int, method: str) -> np.ndarray:
+    """The "basic", "suppressed" or "support" values (a 0/1 vote mask) of one measurement.
+
+    ``v`` holds the (r0, n) back-projections and ``floor_rows`` the (r0, k)
+    second-half measurements, which only the noise floor reads; "basic"
+    reads neither them nor ``k``.  A zero threshold counts as an infinite
+    one, which no finite coordinate reaches.
+    """
+    if method == "basic":
+        return median(v)
+    threshold = _noise_floor(floor_rows, k).threshold or math.inf
+    if method == "support":
+        return (np.abs(v) >= threshold).sum(axis=0) >= math.ceil(len(v) / 2)
+    values = median(v)
+    return np.where(np.abs(values) < threshold, 0.0, values)
+
+
 def _estimate(
     ensemble: SensingEnsemble, measurements: MeasurementEnsemble, method: str
 ) -> RecoveredSignal:
-    """The "basic", "suppressed" or "support" estimate (a 0/1 vote mask) from one measurement."""
-    _check_fits(ensemble, measurements)
-    floor = method != "basic" and _noise_floor(measurements.vectors[ensemble.r0:], ensemble.k)
-    if floor and floor.threshold == 0.0:
-        values = np.zeros(ensemble.n)  # a zero threshold clears no coordinate
-    elif method == "support":
-        v = _back_project(ensemble, measurements, range(ensemble.r0))
-        values = (np.abs(v) >= floor.threshold).sum(axis=0) >= math.ceil(ensemble.r0 / 2)
-    else:
-        values = median(_back_project(ensemble, measurements, range(ensemble.r0)))
-        if method == "suppressed":
-            values = np.where(np.abs(values) < floor.threshold, 0.0, values)
+    """The ``_rule`` of ``method`` on one measurement's first-half back-projections."""
+    v = back_project(ensemble, measurements, range(ensemble.r0))
+    values = _rule(v, measurements.vectors[ensemble.r0:], ensemble.k, method)
     return RecoveredSignal(values, frozenset(int(i) for i in np.flatnonzero(values)))
 
 

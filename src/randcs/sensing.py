@@ -46,6 +46,7 @@ measurement is one support sum over the stack and one batched A^T b.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -567,19 +568,36 @@ def _write_fixture(path, magic: bytes, n: int, k: int, r0: int, seed: int, block
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def _read_fixture(path, *magics: bytes) -> tuple[bytes, int, int, int, int, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated fixture file")
-        magic, n, k, r0, seed = _HEADER.unpack(header)
-        if magic not in magics:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected one of {magics}")
-        payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if payload_bytes % 8:
-            raise ValueError(f"{path}: {payload_bytes}-byte payload is not whole float64 values")
-        payload = np.fromfile(fh, dtype="<f8", count=payload_bytes // 8)
-    return magic, int(n), int(k), int(r0), int(seed), payload.astype(np.float64, copy=False)
+@contextlib.contextmanager
+def _fixture(path, what: str, *magics: bytes) -> Iterator[tuple]:
+    """A fixture file's header fields and payload, ``(magic, n, k, r0, seed, payload)``.
+
+    Each of the 2*r0 rounds holds one (k, n) ``"matrix"`` or one k-entry
+    ``"measurement"``, as ``what`` says, and a payload of another length is
+    refused.  r0 takes :func:`_integer`'s rule, so a header's r0 = 0 is
+    named as such.  Every ``ValueError`` raised here or in the ``with``
+    block is raised again with ``path`` in front, so a caller reading two
+    files can tell which one is bad.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ValueError("truncated fixture file")
+            magic, n, k, r0, seed = _HEADER.unpack(header)
+            if magic not in magics:
+                raise ValueError(f"bad magic {magic!r}, expected one of {magics}")
+            payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if payload_bytes % 8:
+                raise ValueError(f"{payload_bytes}-byte payload is not whole float64 values")
+            payload = np.fromfile(fh, dtype="<f8", count=payload_bytes // 8)
+        r0 = _integer(r0, "r0", 1)
+        expected = 2 * r0 * k * (n if what == "matrix" else 1)
+        if payload.size != expected:
+            raise ValueError(f"expected {expected} {what} entries, found {payload.size}")
+        yield magic, n, k, r0, seed, payload.astype(np.float64, copy=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
@@ -606,22 +624,17 @@ def load_ensemble(path) -> SensingEnsemble:
     """Read an ensemble fixture written by :func:`dump_ensemble`, or an older RCS1 one.
 
     The stack read becomes a stored :class:`LazyMatrices`: an RCS2 payload
-    as read, uncopied; an RCS1 one (row-major (k, n) matrices) transposed
-    into a stack once.
+    as read, uncopied; an RCS1 one (row-major (k, n) matrices) copied into
+    a stack once, as any hand-built sequence of matrices is.  Every
+    ``ValueError`` names ``path``.
     """
-    magic, n, k, r0, seed, payload = _read_fixture(path, _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
-    expected = 2 * r0 * k * n
-    if payload.size != expected:
-        raise ValueError(f"{path}: expected {expected} matrix entries, found {payload.size}")
-    if magic == _ENSEMBLE_MAGIC:
-        stack = payload.reshape(2 * r0, n, k)
-    else:
-        stack = np.ascontiguousarray(payload.reshape(2 * r0, k, n).transpose(0, 2, 1))
-    try:
-        matrices = LazyMatrices(seed, 2 * r0, k, n, stack)
+    fixture = _fixture(path, "matrix", _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
+    with fixture as (magic, n, k, r0, seed, payload):
+        if magic == _ENSEMBLE_MAGIC:
+            matrices = LazyMatrices(seed, 2 * r0, k, n, payload.reshape(2 * r0, n, k))
+        else:
+            matrices = payload.reshape(2 * r0, k, n)
         return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_measurements(measurements: MeasurementEnsemble, path) -> None:
@@ -631,11 +644,11 @@ def dump_measurements(measurements: MeasurementEnsemble, path) -> None:
 
 
 def load_measurements(path) -> MeasurementEnsemble:
-    """Read a measurement fixture written by :func:`dump_measurements`."""
-    _, n, k, r0, seed, payload = _read_fixture(path, _FIXTURE_MAGIC)
-    expected = 2 * r0 * k
-    if payload.size != expected:
-        raise ValueError(f"{path}: expected {expected} measurement entries, found {payload.size}")
-    return MeasurementEnsemble(
-        vectors=payload.reshape(2 * r0, k), n=n, k=k, r0=r0, master_seed=seed
-    )
+    """Read a measurement fixture written by :func:`dump_measurements`.
+
+    Every ``ValueError`` names ``path``.
+    """
+    with _fixture(path, "measurement", _FIXTURE_MAGIC) as (_, n, k, r0, seed, payload):
+        return MeasurementEnsemble(
+            vectors=payload.reshape(2 * r0, k), n=n, k=k, r0=r0, master_seed=seed
+        )

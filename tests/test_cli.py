@@ -303,6 +303,7 @@ class TestRecoverCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+        assert captured.err.startswith(f"randcs recover: {path}: ")  # which of the two files
 
     @pytest.mark.parametrize("n, k, r0", [(40, 60, 0), (40, 0, 6)])
     def test_zero_dimension_header_is_usage_error(self, tmp_path, n, k, r0, capsys):

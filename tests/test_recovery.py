@@ -534,6 +534,66 @@ class TestOracle:
         assert set(np.flatnonzero(suppressed).tolist()) == ({0, 1, 3} if r0 % 2 else {0, 1})
 
 
+def _floor_rows(r0, k=16, entry=4.0):
+    """(r0, k) second-half rows of squared norm entry**2: entry 4.0 at k = 16 gives threshold 2.0."""
+    rows = np.zeros((r0, k))
+    rows[:, 0] = entry
+    return rows
+
+
+class TestRule:
+    """``recovery._rule`` on hand-made arrays, with no ensemble."""
+
+    # (v, basic medians, suppressed medians, vote mask) at threshold 2.0
+    CASES = {
+        3: ([[3, -4, 2, 0.5, 9], [5, 0, -2, 0.5, -9], [1, -1, 1.5, 2.5, 0]],
+            [3, -1, 1.5, 0.5, 0], [3, 0, 0, 0, 0], [True, False, True, False, True]),
+        4: ([[3, -4, 2, 0.5, 9], [5, 0, -2, 0.5, -9], [1, -1, 1.5, 2.5, 0], [0, -6, 3, 0.5, 9]],
+            [2, -2.5, 1.75, 0.5, 4.5], [2, -2.5, 0, 0, 4.5], [True, True, True, False, True]),
+    }
+
+    @pytest.mark.parametrize("r0", [3, 4])
+    def test_known_median_and_vote(self, r0):
+        v, medians, suppressed, votes = (np.array(x, dtype=float) for x in self.CASES[r0])
+        floor = _floor_rows(r0)
+        assert recovery._noise_floor(floor, 16).threshold == 2.0
+        assert recovery._rule(v, floor, 16, "basic").tobytes() == medians.tobytes()
+        assert recovery._rule(v, floor, 16, "suppressed").tobytes() == suppressed.tobytes()
+        assert np.array_equal(recovery._rule(v, floor, 16, "support"), votes.astype(bool))
+
+    @pytest.mark.parametrize("r0", [4, 5])
+    def test_ties_at_the_threshold_and_the_vote_cut(self, r0):
+        cut = math.ceil(r0 / 2)
+        v = np.zeros((r0, 5))
+        v[:, 0] = 2.0  # at the threshold: kept and voted
+        v[:, 1] = -2.0  # magnitude at the threshold, sign kept
+        v[:, 2] = np.nextafter(2.0, 0.0)  # just below: cleared, no vote
+        v[:cut, 3] = 3.0  # exactly ceil(r0 / 2) votes
+        v[: cut - 1, 4] = 3.0  # one vote short
+        floor = _floor_rows(r0)
+        assert recovery._rule(v, floor, 16, "support").tolist() == [True, True, False, True, False]
+        suppressed = recovery._rule(v, floor, 16, "suppressed")
+        assert suppressed[:3].tolist() == [2.0, -2.0, 0.0]
+
+    @pytest.mark.parametrize("r0", [3, 4])
+    @pytest.mark.parametrize("entry", [0.0, 1e-162])  # all zero, or a squared norm that underflows
+    def test_zero_threshold(self, r0, entry):
+        v, medians, *_ = (np.array(x, dtype=float) for x in self.CASES[r0])
+        floor = _floor_rows(r0, entry=entry)
+        assert recovery._noise_floor(floor, 16).threshold == 0.0
+        assert not np.any(recovery._rule(v, floor, 16, "support"))
+        assert recovery._rule(v, floor, 16, "suppressed").tobytes() == np.zeros(5).tobytes()
+        assert recovery._rule(v, floor, 16, "basic").tobytes() == medians.tobytes()
+
+    @pytest.mark.parametrize("r0", [3, 4])
+    def test_basic_reads_no_floor(self, r0):
+        # rows and a k that would raise if the noise floor read them
+        v, medians, *_ = (np.array(x, dtype=float) for x in self.CASES[r0])
+        with pytest.raises(ValueError):
+            recovery._rule(v, None, 0, "suppressed")
+        assert recovery._rule(v, None, 0, "basic").tobytes() == medians.tobytes()
+
+
 class TestThresholdClassification:
     def test_misclassification_rate_below_bound(self):
         # with min |z_i| comfortably above 6 sigma/sqrt(k) and many rounds,

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import struct
 import sys
 import threading
@@ -1424,8 +1425,22 @@ class TestFixtureFormat:
         path = tmp_path / "meas.bin"
         dump_measurements(measure(ens, z, 0.1, "experiment", 77), path)
         _overwrite_entry(path, 7, math.nan)
-        with pytest.raises(ValueError, match="finite"):
+        message = f"^{re.escape(str(path))}: measurement array has a non-finite entry$"
+        with pytest.raises(ValueError, match=message):
             load_measurements(path)
+
+    @pytest.mark.parametrize("loader, magic", [(load_ensemble, b"RCS2"), (load_ensemble, b"RCS1"),
+                                               (load_measurements, b"RCS1")])
+    @pytest.mark.parametrize("n, k, r0, name", [(8, 5, 0, "r0"), (0, 5, 2, "n"), (8, 0, 2, "k")])
+    def test_zero_header_field_named_with_the_path(self, tmp_path, loader, magic, n, k, r0, name):
+        # payloads that fit the header (empty but for a measurement file's
+        # n = 0); an ensemble's r0 is named r0, not the count of its 2*r0 matrices
+        entries = 2 * r0 * k * (n if loader is load_ensemble else 1)
+        path = tmp_path / "zero.bin"
+        path.write_bytes(struct.pack("<4sQQQQ", magic, n, k, r0, 77) + np.zeros(entries).tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: need {name} >= 1, "
+                                             f"got {name}=0$"):
+            loader(path)
 
     @pytest.mark.parametrize("entry", [0, 5 * 8 + 3, 4 * 5 * 8 - 1])
     def test_non_finite_ensemble_entry_rejected(self, tmp_path, entry):
@@ -1433,7 +1448,8 @@ class TestFixtureFormat:
         path = tmp_path / "ens.bin"
         dump_ensemble(ens, path)
         _overwrite_entry(path, entry, math.inf)
-        with pytest.raises(ValueError, match="non-finite"):
+        message = f"^{re.escape(str(path))}: sensing matrix {entry // 40} has a non-finite entry$"
+        with pytest.raises(ValueError, match=message):
             load_ensemble(path)
 
 

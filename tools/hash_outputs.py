@@ -1,6 +1,6 @@
 """One SHA-256 over the program's outputs, to check that a change keeps them byte for byte.
 
-Hashes, for each of a few (n, k, r0) cells, two signals, two noise
+Hashes, for each of a few (n, k, r0) cells, three signals, two noise
 conventions and three forms of the same ensemble (seeded, read back from
 an RCS2 file, and a hand-built tuple of its matrices):
 
@@ -59,12 +59,16 @@ TRIALS = 3
 
 
 def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
-    """A 0/1 signal of n/100 ones and a signed one of n/10 entries over six decades."""
+    """A 0/1 signal of n/100 ones, a signed one of n/10 entries over six decades, and zeros.
+
+    The all-zero signal's noiseless measurements give the zero threshold,
+    so the rule for it is hashed too.
+    """
     rng = np.random.default_rng(seed)
     spread = np.zeros(n)
     support = rng.choice(n, size=max(1, n // 10), replace=False)
     spread[support] = rng.standard_normal(support.size) * 10.0 ** rng.integers(-3, 4, support.size)
-    return [generate_binary_signal(seed, n, max(1, n // 100)), spread]
+    return [generate_binary_signal(seed, n, max(1, n // 100)), spread, np.zeros(n)]
 
 
 def main(source: Path) -> str:
