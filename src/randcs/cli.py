@@ -86,20 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_bench(args) -> int:
     # every output path is settled before the grid, which can run for hours
+    # names are compared as the files they lead to, so a symlink counts as its target
     twin = summary_csv_path(args.summary)
-    if os.path.abspath(twin) == os.path.abspath(args.out):
+    if os.path.realpath(twin) == os.path.realpath(args.out):
         twin = str(args.summary) + ".csv"  # keep the twin off the results file
-    if os.path.abspath(args.out) in (os.path.abspath(args.summary), os.path.abspath(twin)):
+    if os.path.realpath(args.out) in (os.path.realpath(args.summary), os.path.realpath(twin)):
         print(f"randcs bench: --out and --summary must name different files, and --out "
               f"must not be the summary's CSV twin {twin}", file=sys.stderr)
         return USAGE_ERROR
-    for path in (args.out, args.summary, twin):
-        if os.path.isdir(path):
-            print(f"randcs bench: {path} is a directory, not a file", file=sys.stderr)
-            return USAGE_ERROR
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            print(f"randcs bench: the directory of {path} does not exist", file=sys.stderr)
-            return USAGE_ERROR
     made = [path for path in (args.out, args.summary, twin) if not os.path.lexists(path)]
     try:
         grid = ExperimentGrid(
@@ -116,7 +110,8 @@ def _run_bench(args) -> int:
             biht_step=args.biht_step,
             workers=args.workers,
         )
-        # an output the run cannot open is refused now, not after the grid
+        # an output the run cannot open (a directory, one in a missing
+        # directory, a name too long) is refused now, not after the grid
         for path in (args.out, args.summary, twin):
             open(path, "a").close()
     except (OSError, ValueError) as exc:

@@ -36,12 +36,12 @@ is one :class:`LazyMatrices`, which answers every round index by one rule.
 A seeded one re-samples matrix r; a stored one holds the ensemble's only
 copy of its matrices, one C-contiguous (2*r0, n, k) stack of sampling
 buffers, and answers the view ``stack[r].T``: an ``RCS2`` fixture as read,
-an ``RCS1`` one (row-major, still read) transposed once, or a hand-built
-sequence copied in once.  So every matrix is column-major, and at one BLAS
-thread A^T b is the same bit for bit too.  A stored ensemble's pass hands
-every requested round over at once, as one view of the stack, on the
-caller's thread, with no pool and BLAS at its usual thread count: a stored
-measurement is one support sum over the stack and one batched A^T b.
+or a hand-built sequence copied in once.  So every matrix is column-major,
+and at one BLAS thread A^T b is the same bit for bit too.  A stored
+ensemble's pass hands every requested round over at once, as one view of
+the stack, on the caller's thread, with no pool and BLAS at its usual
+thread count: a stored measurement is one support sum over the stack and
+one batched A^T b.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ SIGNAL_STREAM = 0
 
 NOISE_MODES = ("theory", "experiment")
 
-# an ensemble is stored as its (n, k) sampling buffers; RCS1 (row-major
-# (k, n) matrices) is still read, and is the measurement format
+# an ensemble file holds its (n, k) sampling buffers; a measurement file
+# keeps the first format's magic, as its vectors have only one layout
 _ENSEMBLE_MAGIC = b"RCS2"
-_FIXTURE_MAGIC = b"RCS1"
+_MEASUREMENT_MAGIC = b"RCS1"
 _HEADER = struct.Struct("<4sQQQQ")
 
 
@@ -569,33 +569,33 @@ def _write_fixture(path, magic: bytes, n: int, k: int, r0: int, seed: int, block
 
 
 @contextlib.contextmanager
-def _fixture(path, what: str, *magics: bytes) -> Iterator[tuple]:
-    """A fixture file's header fields and payload, ``(magic, n, k, r0, seed, payload)``.
+def _fixture(path, what: str, magic: bytes) -> Iterator[tuple]:
+    """A fixture file's header fields and payload, ``(n, k, r0, seed, payload)``.
 
     Each of the 2*r0 rounds holds one (k, n) ``"matrix"`` or one k-entry
-    ``"measurement"``, as ``what`` says, and a payload of another length is
-    refused.  r0 takes :func:`_integer`'s rule, so a header's r0 = 0 is
-    named as such.  Every ``ValueError`` raised here or in the ``with``
-    block is raised again with ``path`` in front, so a caller reading two
-    files can tell which one is bad.
+    ``"measurement"``, as ``what`` says.  The header is checked before any
+    of the payload is read: a magic other than ``magic`` is refused, r0
+    takes :func:`_integer`'s rule, so a header's r0 = 0 is named as such,
+    and a payload of any size but the one the header gives is refused.
+    Every ``ValueError`` raised here or in the ``with`` block is raised
+    again with ``path`` in front, so a caller reading two files can tell
+    which one is bad.
     """
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             if len(header) < _HEADER.size:
                 raise ValueError("truncated fixture file")
-            magic, n, k, r0, seed = _HEADER.unpack(header)
-            if magic not in magics:
-                raise ValueError(f"bad magic {magic!r}, expected one of {magics}")
+            found, n, k, r0, seed = _HEADER.unpack(header)
+            if found != magic:
+                raise ValueError(f"bad magic {found!r}, expected {magic!r}")
+            r0 = _integer(r0, "r0", 1)
+            expected = 2 * r0 * k * (n if what == "matrix" else 1)
             payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
-            if payload_bytes % 8:
-                raise ValueError(f"{payload_bytes}-byte payload is not whole float64 values")
-            payload = np.fromfile(fh, dtype="<f8", count=payload_bytes // 8)
-        r0 = _integer(r0, "r0", 1)
-        expected = 2 * r0 * k * (n if what == "matrix" else 1)
-        if payload.size != expected:
-            raise ValueError(f"expected {expected} {what} entries, found {payload.size}")
-        yield magic, n, k, r0, seed, payload.astype(np.float64, copy=False)
+            if payload_bytes != 8 * expected:
+                raise ValueError(f"expected {expected} {what} entries, found {payload_bytes} bytes")
+            payload = np.fromfile(fh, dtype="<f8", count=expected)
+        yield n, k, r0, seed, payload.astype(np.float64, copy=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -621,26 +621,20 @@ def dump_ensemble(ensemble: SensingEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> SensingEnsemble:
-    """Read an ensemble fixture written by :func:`dump_ensemble`, or an older RCS1 one.
+    """Read an ensemble fixture written by :func:`dump_ensemble`.
 
-    The stack read becomes a stored :class:`LazyMatrices`: an RCS2 payload
-    as read, uncopied; an RCS1 one (row-major (k, n) matrices) copied into
-    a stack once, as any hand-built sequence of matrices is.  Every
-    ``ValueError`` names ``path``.
+    The payload read becomes the stack of a stored :class:`LazyMatrices`,
+    uncopied.  Every ``ValueError`` names ``path``.
     """
-    fixture = _fixture(path, "matrix", _ENSEMBLE_MAGIC, _FIXTURE_MAGIC)
-    with fixture as (magic, n, k, r0, seed, payload):
-        if magic == _ENSEMBLE_MAGIC:
-            matrices = LazyMatrices(seed, 2 * r0, k, n, payload.reshape(2 * r0, n, k))
-        else:
-            matrices = payload.reshape(2 * r0, k, n)
+    with _fixture(path, "matrix", _ENSEMBLE_MAGIC) as (n, k, r0, seed, payload):
+        matrices = LazyMatrices(seed, 2 * r0, k, n, payload.reshape(2 * r0, n, k))
         return SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=matrices)
 
 
 def dump_measurements(measurements: MeasurementEnsemble, path) -> None:
     """Write measurement vectors to the binary fixture format (same header)."""
     m = measurements
-    _write_fixture(path, _FIXTURE_MAGIC, m.n, m.k, m.r0, m.master_seed, [m.vectors])
+    _write_fixture(path, _MEASUREMENT_MAGIC, m.n, m.k, m.r0, m.master_seed, [m.vectors])
 
 
 def load_measurements(path) -> MeasurementEnsemble:
@@ -648,7 +642,7 @@ def load_measurements(path) -> MeasurementEnsemble:
 
     Every ``ValueError`` names ``path``.
     """
-    with _fixture(path, "measurement", _FIXTURE_MAGIC) as (_, n, k, r0, seed, payload):
+    with _fixture(path, "measurement", _MEASUREMENT_MAGIC) as (n, k, r0, seed, payload):
         return MeasurementEnsemble(
             vectors=payload.reshape(2 * r0, k), n=n, k=k, r0=r0, master_seed=seed
         )

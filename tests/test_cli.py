@@ -153,7 +153,7 @@ class TestBenchCommand:
         missing = tmp_path / "missing" / "file.txt"
         args[args.index(flag) + 1] = str(missing)
         assert main(args) == 1
-        assert f"the directory of {missing} does not exist" in capsys.readouterr().err
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, path, directory", [("--out", "results.csv", "results.csv"),
@@ -170,7 +170,7 @@ class TestBenchCommand:
         (tmp_path / directory).mkdir()
         assert main(args) == 1
         captured = capsys.readouterr()
-        assert f"{tmp_path / directory} is a directory" in captured.err
+        assert f"Is a directory: '{tmp_path / directory}'" in captured.err
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == [directory]
 
@@ -186,6 +186,16 @@ class TestBenchCommand:
         assert captured.err.startswith(f"randcs bench: [Errno {errno.ENAMETOOLONG}]")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_to_out_moves_the_twin(self, tmp_path):
+        # link.csv, the twin of --summary link.txt, leads to the results file:
+        # the summary's CSV goes to link.txt.csv, not over results.csv
+        args, out, _ = bench_args(tmp_path)
+        (tmp_path / "link.csv").symlink_to("results.csv")
+        args[args.index("--summary") + 1] = str(tmp_path / "link.txt")
+        assert main(args) == 0
+        assert out.read_text().startswith("method,n,s,k,r0,trial,")
+        assert (tmp_path / "link.txt.csv").read_text().startswith("method,n,s,mean_R")
 
     def test_refused_run_keeps_an_existing_output(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_grid", _no_grid)
@@ -279,13 +289,23 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("algorithm", ["basic", "suppressed", "support"])
     def test_rcs1_ensemble_gives_the_same_support(self, fixtures, tmp_path, algorithm, capsys):
-        # the same ensemble written by hand in the older RCS1 layout (row-major matrices)
+        # the same ensemble written by hand in the retired RCS1 layout (row-major
+        # matrices) is refused by its magic, whatever the algorithm; its matrices,
+        # transposed into RCS2 sampling buffers, give the support of the original
         _, ens, *_, epath, mpath = fixtures
-        rcs1 = tmp_path / "ens-rcs1.bin"
+        stack = np.stack(list(ens.matrices)).astype("<f8")
+        rcs1, rcs2 = tmp_path / "ens-rcs1.bin", tmp_path / "ens-rcs2.bin"
         header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
-        rcs1.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
+        rcs1.write_bytes(header + stack.tobytes())
+        rcs2.write_bytes(b"RCS2" + header[4:] + stack.transpose(0, 2, 1).tobytes())
+        assert main(["recover", "--ensemble", str(rcs1), "--measurements", mpath,
+                     "--algorithm", algorithm]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"randcs recover: {rcs1}: ")
+        assert "bad magic b'RCS1', expected b'RCS2'" in captured.err
         reports = []
-        for path in (epath, str(rcs1)):
+        for path in (epath, str(rcs2)):
             assert main(["recover", "--ensemble", path, "--measurements", mpath,
                          "--algorithm", algorithm]) == 0
             reports.append(json.loads(capsys.readouterr().out))
@@ -307,15 +327,17 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("n, k, r0", [(40, 60, 0), (40, 0, 6)])
     def test_zero_dimension_header_is_usage_error(self, tmp_path, n, k, r0, capsys):
-        # header-only files: the empty payloads agree with the headers
+        # header-only files, each under its own magic: the empty payloads agree
+        # with the headers, so the zero field is what the ensemble is refused for
         paths = [tmp_path / "ens.bin", tmp_path / "meas.bin"]
-        for path in paths:
-            path.write_bytes(struct.pack("<4sQQQQ", b"RCS1", n, k, r0, 23))
+        for path, magic in zip(paths, (b"RCS2", b"RCS1")):
+            path.write_bytes(struct.pack("<4sQQQQ", magic, n, k, r0, 23))
         assert main(["recover", "--ensemble", str(paths[0]), "--measurements", str(paths[1]),
                      "--algorithm", "support"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("randcs recover: ")
+        name = "r0" if r0 == 0 else "k"
+        assert captured.err == f"randcs recover: {paths[0]}: need {name} >= 1, got {name}=0\n"
 
     def test_missing_file_is_usage_error(self, fixtures, capsys):
         *_, mpath = fixtures

@@ -625,17 +625,15 @@ def _dumped(ens, directory):
 def _forms(seeded, directory):
     """The seeded ensemble and each of its stored forms, by name.
 
-    The stored forms are read back from RCS2 and RCS1 files, built from a
-    tuple and from a (2*r0, k, n) array of the matrices, and the RCS2 one
+    The stored forms are read back from an RCS2 file, built from a tuple
+    and from a (2*r0, k, n) array of the matrices, and the RCS2 one
     relabelled with another seed by ``dataclasses.replace``.
     """
-    _write_rcs1(directory / "ens.rcs1", seeded)
     rcs2 = _dumped(seeded, directory)
     shape = dict(n=seeded.n, k=seeded.k, r0=seeded.r0, master_seed=seeded.master_seed)
     return {
         "seeded": seeded,
         "RCS2": rcs2,
-        "RCS1": load_ensemble(directory / "ens.rcs1"),
         "tuple": SensingEnsemble(**shape, matrices=tuple(seeded.matrices)),
         "array": SensingEnsemble(**shape, matrices=np.stack(list(seeded.matrices))),
         "relabelled": dataclasses.replace(rcs2, master_seed=seeded.master_seed + 1),
@@ -689,7 +687,7 @@ class TestPass:
 
     @staticmethod
     def _seeded_against_stored(tmp_path, blas_threads, n, s, k, seed, threads=1):
-        # each form -- seeded, RCS2, RCS1 and a hand-built tuple -- against
+        # each form -- seeded, RCS2 and a hand-built tuple -- against
         # its own rounds replayed by definition, bit for bit, and the forms
         # against each other byte for byte: the measurement vectors, since
         # A z is the support sum in one fixed order, and the kept and unkept
@@ -699,9 +697,8 @@ class TestPass:
         # still agree with each other and with their per-round products
         r0 = 4
         seeded = build_ensemble(RecoveryConfig(n=n, s=s, k=k, r0=r0, master_seed=seed))
-        _write_rcs1(tmp_path / "ens.rcs1", seeded)
         built = SensingEnsemble(n=n, k=k, r0=r0, master_seed=seed, matrices=tuple(seeded.matrices))
-        forms = (seeded, _dumped(seeded, tmp_path), load_ensemble(tmp_path / "ens.rcs1"), built)
+        forms = (seeded, _dumped(seeded, tmp_path), built)
         z = generate_binary_signal(seed, n, s)
         results = []
         for ens in forms:
@@ -1357,7 +1354,8 @@ class TestFixtureFormat:
         path = tmp_path / "ens.bin"
         dump_ensemble(ens, path)
         _resize_payload(path, change)
-        with pytest.raises(ValueError, match=f"expected 160 matrix entries, found {found}$"):
+        message = f"expected 160 matrix entries, found {8 * found} bytes$"
+        with pytest.raises(ValueError, match=message):
             load_ensemble(path)
 
     @pytest.mark.parametrize("change, found", [("truncated", 19), ("over-long", 21)])
@@ -1367,8 +1365,34 @@ class TestFixtureFormat:
         path = tmp_path / "meas.bin"
         dump_measurements(measure(ens, z, 0.1, "experiment", 77), path)
         _resize_payload(path, change)
-        with pytest.raises(ValueError, match=f"expected 20 measurement entries, found {found}$"):
+        message = f"expected 20 measurement entries, found {8 * found} bytes$"
+        with pytest.raises(ValueError, match=message):
             load_measurements(path)
+
+    @pytest.mark.parametrize("extra", [-8, 3, 2**23], ids=["truncated", "partial", "over-long"])
+    @pytest.mark.parametrize("loader", [load_ensemble, load_measurements])
+    def test_wrong_size_refused_before_the_payload_is_read(
+        self, tmp_path, monkeypatch, loader, extra
+    ):
+        # the header alone settles the size, so np.fromfile is never called;
+        # the over-long file is 8 MiB of holes past its payload
+        _, ens = self._ensemble()
+        path = tmp_path / "fixture.bin"
+        if loader is load_ensemble:
+            dump_ensemble(ens, path)
+        else:
+            z = generate_binary_signal(GaussianSource(77), 8, 2)
+            dump_measurements(measure(ens, z, 0.1, "experiment", 77), path)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size + extra)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(np, "fromfile", unread)
+        with pytest.raises(ValueError, match=f"entries, found {size - 36 + extra} bytes$"):
+            loader(path)
 
     def test_ensemble_bytes_are_stacked_sampling_buffers(self, tmp_path):
         # buffer r is (n, k) with row i the column i of matrix r, as the
@@ -1383,14 +1407,16 @@ class TestFixtureFormat:
         assert path.read_bytes()[36:] == np.stack(buffers).astype("<f8").tobytes()
         assert all(np.array_equal(b.T, m) for b, m in zip(buffers, ens.matrices))
 
-    def test_rcs1_fixture_loads_to_the_same_matrices(self, tmp_path):
-        # the older layout: the stacked (k, n) matrices, row-major
+    def test_rcs1_ensemble_refused(self, tmp_path):
+        # the retired ensemble layout, stacked (k, n) matrices under the
+        # measurement magic: a payload of the right size, refused by its magic
         _, ens = self._ensemble()
         path = tmp_path / "ens.bin"
-        _write_rcs1(path, ens)
-        back = load_ensemble(path)
-        assert (back.n, back.k, back.r0, back.master_seed) == (8, 5, 2, 77)
-        assert all(np.array_equal(a, b) for a, b in zip(back.matrices, ens.matrices))
+        header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
+        path.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
+        message = f"^{re.escape(str(path))}: bad magic b'RCS1', expected b'RCS2'$"
+        with pytest.raises(ValueError, match=message):
+            load_ensemble(path)
 
     def test_measurement_loader_rejects_an_ensemble_fixture(self, tmp_path):
         # an RCS2 header over a payload of exactly 2*r0*k entries: only the magic is wrong
@@ -1429,7 +1455,7 @@ class TestFixtureFormat:
         with pytest.raises(ValueError, match=message):
             load_measurements(path)
 
-    @pytest.mark.parametrize("loader, magic", [(load_ensemble, b"RCS2"), (load_ensemble, b"RCS1"),
+    @pytest.mark.parametrize("loader, magic", [(load_ensemble, b"RCS2"),
                                                (load_measurements, b"RCS1")])
     @pytest.mark.parametrize("n, k, r0, name", [(8, 5, 0, "r0"), (0, 5, 2, "n"), (8, 0, 2, "k")])
     def test_zero_header_field_named_with_the_path(self, tmp_path, loader, magic, n, k, r0, name):
@@ -1451,12 +1477,6 @@ class TestFixtureFormat:
         message = f"^{re.escape(str(path))}: sensing matrix {entry // 40} has a non-finite entry$"
         with pytest.raises(ValueError, match=message):
             load_ensemble(path)
-
-
-def _write_rcs1(path, ens):
-    """An RCS1 fixture of ``ens``, written by hand: the header, then the (k, n) matrices."""
-    header = struct.pack("<4sQQQQ", b"RCS1", ens.n, ens.k, ens.r0, ens.master_seed)
-    path.write_bytes(header + np.stack(list(ens.matrices)).astype("<f8").tobytes())
 
 
 def _resize_payload(path, change):

@@ -4,10 +4,13 @@ Hashes, for each of a few (n, k, r0) cells, three signals, two noise
 conventions and three forms of the same ensemble (seeded, read back from
 an RCS2 file, and a hand-built tuple of its matrices):
 
-* the ``measure`` vectors;
+* the ``measure`` vectors, and the same vectors after a
+  ``dump_measurements`` → ``load_measurements`` round trip;
 * ``back_project`` on the kept rounds and on measurements without them,
   over forward, reversed and stepped ranges;
-* ``recover_basic``, ``recover_suppressed`` and ``determine_support``;
+* ``recover_basic``, ``recover_suppressed`` and ``determine_support``,
+  and ``recovery._estimate`` of every method on the loaded measurements,
+  as ``randcs recover`` calls it;
 * ``sign_quantize``, ``omp``, ``biht`` and ``nbiht`` (30 iterations) on
   round 0;
 
@@ -103,6 +106,12 @@ def main(source: Path) -> str:
                         meas = sensing.measure(ens, z, sigma_w, mode, seed)
                         unkept = sensing.MeasurementEnsemble(meas.vectors, n, k, r0, seed)
                         feed(f"{cell} vectors", meas.vectors)
+                        sensing.dump_measurements(meas, Path(scratch) / "meas.bin")
+                        loaded = sensing.load_measurements(Path(scratch) / "meas.bin")
+                        feed(f"{cell} loaded vectors", loaded.vectors)
+                        for method in recovery._METHODS:
+                            got = recovery._estimate(ens, loaded, method)
+                            feed(f"{cell} loaded {method}", got.values)
                         for rounds in (range(r0), range(r0 - 1, -1, -1)):
                             feed(f"{cell} kept {rounds}", recovery.back_project(ens, meas, rounds))
                         every = (range(2 * r0), range(2 * r0 - 1, -1, -2), range(1, 2 * r0, 3))
