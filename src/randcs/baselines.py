@@ -231,8 +231,8 @@ def iht_steps(
     for the remaining iterations without further products.
 
     ``step`` must be finite and positive, ``s_budget`` an integer in [0, n],
-    ``max_iters`` an integer of at least 1, and A and ``signs`` finite;
-    anything else raises ``ValueError``.
+    ``max_iters`` an integer of at least 1, A finite with at least one row
+    and ``signs`` finite; anything else raises ``ValueError``.
     """
     max_iters = _integer(max_iters, "max_iters", 1)
     if not (np.isfinite(step) and step > 0):
@@ -241,7 +241,7 @@ def iht_steps(
         raise DimensionMismatchError(
             f"cannot iterate with {A.shape} matrix and dim-{signs.shape} sign vector"
         )
-    k, n = A.shape
+    k, n = _integer(A.shape[0], "k", 1), A.shape[1]
     s_budget = _integer(s_budget, "s_budget", 0, n)
     _finite(signs, "sign vector")
     _finite(A, "sensing matrix")

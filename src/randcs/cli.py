@@ -85,16 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bench(args) -> int:
-    # every output path is settled before the grid, which can run for hours
-    # names are compared as the files they lead to, so a symlink counts as its target
+    # every output path is settled before the grid, which can run for hours;
+    # outputs are compared as the files they lead to, so a symlink counts as its target
     twin = summary_csv_path(args.summary)
     if os.path.realpath(twin) == os.path.realpath(args.out):
         twin = str(args.summary) + ".csv"  # keep the twin off the results file
-    if os.path.realpath(args.out) in (os.path.realpath(args.summary), os.path.realpath(twin)):
-        print(f"randcs bench: --out and --summary must name different files, and --out "
-              f"must not be the summary's CSV twin {twin}", file=sys.stderr)
+    files = [os.path.realpath(path) for path in (args.out, args.summary, twin)]
+    if len(set(files)) < 3:
+        print(f"randcs bench: --out and --summary must name different files, and neither "
+              f"may be the summary's CSV twin {twin}", file=sys.stderr)
         return USAGE_ERROR
-    made = [path for path in (args.out, args.summary, twin) if not os.path.lexists(path)]
+    made = [path for path in files if not os.path.exists(path)]
     try:
         grid = ExperimentGrid(
             n_values=tuple(args.n),
@@ -145,6 +146,11 @@ def _run_bench(args) -> int:
 def _run_recover(args) -> int:
     if args.out and args.algorithm == "support":
         print("randcs recover: --out writes values, and support recovers none", file=sys.stderr)
+        return USAGE_ERROR
+    inputs = (os.path.realpath(args.ensemble), os.path.realpath(args.measurements))
+    if args.out and os.path.realpath(args.out) in inputs:
+        print("randcs recover: --out must not be the --ensemble or --measurements file",
+              file=sys.stderr)
         return USAGE_ERROR
     try:
         ensemble = load_ensemble(args.ensemble)

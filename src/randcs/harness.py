@@ -207,14 +207,11 @@ def _run_method(
         b1 = _add_noise(_signal_product(A1, signal), 0, config.r0, noise_sd, config.master_seed)
         t_run = time.perf_counter()
         predicted = omp(A1, b1, config.s).support
-    elif method == "biht":
+    else:  # biht or nbiht; the grid admits no other method
+        solver = biht if method == "biht" else nbiht
         signs = sign_quantize(A1, signal)
         t_run = time.perf_counter()
-        predicted = biht(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
-    else:  # nbiht; the grid admits no other method
-        signs = sign_quantize(A1, signal)
-        t_run = time.perf_counter()
-        predicted = nbiht(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
+        predicted = solver(A1, signs, config.s, grid.biht_max_iters, grid.biht_step).support
     return predicted, t_run - t_gen, time.perf_counter() - t_run
 
 
@@ -299,10 +296,12 @@ class GridOutcome:
 
 
 def run_grid(grid: ExperimentGrid) -> GridOutcome:
-    """Run every cell x trial, each trial running every method, optionally on a worker pool.
+    """Run every cell x trial, each trial running every method, on ``grid.workers`` threads.
 
-    A trial is the unit of work: ``grid.workers`` trials run at once, and
-    the methods of one trial run in sequence on one thread.  Results are
+    A trial is the unit of work: ``grid.workers`` trials run at once, one
+    for the default of 1, and the methods of one trial run in sequence on
+    one pool thread.  The pool lives for this call, as each ``rand``
+    trial's sampling pool lives for its pass.  Results are
     ordered by (cell, method, trial) regardless of completion order, and
     trial seeds depend only on (master_seed, n, s, trial), so the outcome
     is identical for any worker count.  A failing method or trial is
@@ -318,11 +317,9 @@ def run_grid(grid: ExperimentGrid) -> GridOutcome:
             seed = derive_seed(grid.master_seed, n, s, trial)
             return [_failure(method, n, s, trial, seed, exc) for method in grid.methods]
 
-    if grid.workers == 1:
-        per_task = [attempt(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=grid.workers) as pool:
-            per_task = list(pool.map(attempt, tasks))
+    # map keeps task order, whatever order the trials finish in
+    with ThreadPoolExecutor(max_workers=grid.workers) as pool:
+        per_task = list(pool.map(attempt, tasks))
 
     # per_task holds trial-major rows of one cell after another; reorder to
     # (cell, method, trial)

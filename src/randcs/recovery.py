@@ -107,7 +107,8 @@ def back_project(
     :func:`~randcs.sensing.measure` took through this same ensemble, these
     are the products it kept.  Any other request is one batched product over
     a stored ensemble, or one pass that samples a seeded one's matrices on
-    the shared sampling pool.  Measurements of another (n, k, r0) raise
+    a pool of ``os.cpu_count()`` threads, which it joins before it returns.
+    Measurements of another (n, k, r0) raise
     :class:`~randcs.numerics.DimensionMismatchError`; ``rounds`` that are not
     a nonempty ``range`` within [0, 2*r0) raise ``ValueError``.
     """

@@ -13,20 +13,20 @@ matrix, noise vector, or signal is reproducible in isolation:
 Measuring, back-projecting and dumping an ensemble is one pass over its
 rounds, which hands them to one callback as blocks of their matrices'
 columns, stacked on a leading round axis.  A seeded ensemble holds no
-matrix: its pass runs on one process-wide pool of ``os.cpu_count()``
-threads and hands over one round at a time.  A round that needs its whole
-matrix runs in a lane, a pool thread that owns one (n, k) buffer for the
-pass, samples the round into it as one block and uses it at once.  Rounds
-[r0, 2*r0) of a measurement feed only the noise floor, so they are
-streamed: handed over as blocks of a few columns, each drawn when it is
-asked for, and never held whole.  A pass visits rounds and knows nothing
-of the signal.  A seeded pass samples each round once, keeps ceil(P/2)
-lanes on a pool of P threads when it streams and P when it does not, and
-frees its buffers when it returns; seeded passes run one at a time, so the
-process holds at most one matrix per lane however many threads call in.
-Because every round has its own stream, and OpenBLAS is held at one thread
-during a seeded pass, a seeded ensemble's values do not depend on the
-thread count.
+matrix: its pass makes its own pool of ``os.cpu_count()`` threads, hands
+over one round at a time, and joins every thread before it returns or
+raises.  A round that needs its whole matrix runs in a lane, a pool thread
+that owns one (n, k) buffer for the pass, samples the round into it as one
+block and uses it at once.  Rounds [r0, 2*r0) of a measurement feed only
+the noise floor, so they are streamed: handed over as blocks of a few
+columns, each drawn when it is asked for, and never held whole.  A pass
+visits rounds and knows nothing of the signal.  A seeded pass samples each
+round once, keeps ceil(P/2) lanes on a pool of P threads when it streams
+and P when it does not, and frees its buffers when it returns; seeded
+passes run one at a time, so the process holds at most one matrix per lane
+however many threads call in.  Because every round has its own stream, and
+OpenBLAS is held at one thread during a seeded pass, a seeded ensemble's
+values do not depend on the thread count.
 
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
@@ -57,7 +57,7 @@ import threading
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +81,6 @@ _HEADER = struct.Struct("<4sQQQQ")
 # this many rows of k doubles, whatever the support
 _STREAM_BLOCK_ROWS = 256
 
-_sampling_pool: ThreadPoolExecutor | None = None
 # held for the whole of a seeded pass, so passes run one at a time
 _pass_lock = threading.Lock()
 
@@ -315,24 +314,24 @@ def _each_round(
     It uses no pool, lock or BLAS pin, so its products run at BLAS's usual
     thread count.
 
-    A seeded ensemble is taken one round at a time on the P threads of the
-    shared pool.  Its full rounds run in lanes, each owning one (n, k)
-    buffer for the pass, so ``take`` must be done with its blocks when it
-    returns: ceil(P/2) lanes when the pass streams, P lanes when it does
-    not, and a lane that runs out of full rounds streams.  A streamed round
-    is drawn into a small block (a lane's buffer lends its first rows).  So
-    a pass holds at most one buffer per lane, and drops them all when it
-    returns.
+    A seeded ensemble is taken one round at a time on a pool of P =
+    ``os.cpu_count()`` threads that the pass makes for itself and joins
+    before it returns or raises.  Its full rounds run in lanes, each owning
+    one (n, k) buffer for the pass, so ``take`` must be done with its blocks
+    when it returns: ceil(P/2) lanes when the pass streams, P lanes when it
+    does not, and a lane that runs out of full rounds streams.  A streamed
+    round is drawn into a small block (a lane's buffer lends its first
+    rows).  So a pass holds at most one buffer per lane, and drops them all
+    when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
     numpy's OpenBLAS, if bundled, is held at one thread: the pool keeps
     every core busy, OpenBLAS threads woken by a threaded product would
     spin on those cores after it, and a threaded A^T b can change in the
-    last bit with the thread count.  The pass restores the old count when
-    it returns or raises.
+    last bit with the thread count.  Once its lanes are joined, the pass
+    restores the old count, then raises the first error of any round.
     """
-    global _sampling_pool
     if (stack := ensemble.matrices._stack) is not None:
         # rounds are checked to lie in the stack, so a negative stop only ends a descent at 0
         view = stack[rounds.start : None if rounds.stop < 0 else rounds.stop : rounds.step]
@@ -365,26 +364,22 @@ def _each_round(
             rest.clear()
             raise
 
+    threads = os.cpu_count() or 1
+    lanes = -(-threads // 2) if rest else threads
     with _pass_lock:
-        if _sampling_pool is None:
-            _sampling_pool = ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1, thread_name_prefix="randcs-sampling"
-            )
-        threads = _sampling_pool._max_workers
-        lanes = -(-threads // 2) if rest else threads
         blas = _openblas_threads()
         if blas is not None:
             threads_before = blas[0]()
             blas[1](1)
         try:
-            running = [_sampling_pool.submit(lane, i < lanes) for i in range(threads)]
-            # every lane ends before the pass does; then the first error of any round is raised
-            wait(running)
-            for done in running:
-                done.result()
+            # leaving the block joins every lane; then the first error of any round is raised
+            with ThreadPoolExecutor(threads, thread_name_prefix="randcs-sampling") as pool:
+                running = [pool.submit(lane, i < lanes) for i in range(threads)]
         finally:
             if blas is not None:
                 blas[1](threads_before)
+        for done in running:
+            done.result()
 
 
 def _lane_buffer(n: int, k: int) -> np.ndarray:

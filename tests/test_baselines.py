@@ -297,6 +297,10 @@ class TestBihtFamily:
         A, _, signs = self._instance()
         with pytest.raises(ValueError):
             biht(A, signs, 4, max_iters=0)
+        # a matrix of no rows used to raise ZeroDivisionError from step / k
+        for solver in (biht, nbiht):
+            with pytest.raises(ValueError, match=r"^need k >= 1, got k=0$"):
+                solver(np.zeros((0, 5)), np.zeros(0), 1)
 
     @pytest.mark.parametrize("solver", [biht, nbiht])
     @pytest.mark.parametrize("kwargs, name", [(dict(s_budget=2.5), "s_budget"),

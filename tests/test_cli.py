@@ -45,6 +45,10 @@ def _no_grid(grid):
     raise AssertionError("the grid ran")
 
 
+def _no_read(path):
+    raise AssertionError(f"{path} was read")
+
+
 class TestBenchCommand:
     def test_successful_run(self, tmp_path, capsys):
         args, out, summary = bench_args(tmp_path)
@@ -197,6 +201,29 @@ class TestBenchCommand:
         assert out.read_text().startswith("method,n,s,k,r0,trial,")
         assert (tmp_path / "link.txt.csv").read_text().startswith("method,n,s,mean_R")
 
+    def test_symlink_to_summary_as_twin_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # summary.csv, the twin of --summary summary.txt, leads to the table:
+        # the run used to exit 0 with the table overwritten by its CSV
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, _ = bench_args(tmp_path)
+        (tmp_path / "summary.csv").symlink_to("summary.txt")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"CSV twin {tmp_path / 'summary.csv'}" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
+    def test_refused_run_leaves_no_target_of_a_dangling_link(self, tmp_path, monkeypatch):
+        # --out leads to a file that does not exist yet: the probe creates it
+        # through the link, and a refused run used to leave it behind
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, out, _ = bench_args(tmp_path)
+        out.symlink_to("target.csv")
+        args[args.index("--summary") + 1] = str(tmp_path / ("x" * 300))
+        assert main(args) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+        assert out.is_symlink() and not (tmp_path / "target.csv").exists()
+
     def test_refused_run_keeps_an_existing_output(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_grid", _no_grid)
         args, out, _ = bench_args(tmp_path)
@@ -264,6 +291,25 @@ class TestRecoverCommand:
             assert captured.out == ""
             assert captured.err.startswith("randcs recover: --out")
         assert not vpath.exists()
+
+    @pytest.mark.parametrize("name", ["ens.bin", "meas.bin"])
+    def test_out_naming_an_input_is_usage_error(self, fixtures, tmp_path, capsys, monkeypatch,
+                                                name):
+        # --out meas.bin used to replace the measurement fixture with the values;
+        # the input is named as given and through a link, and neither is read or written
+        *_, epath, mpath = fixtures
+        before = {path: (tmp_path / path).read_bytes() for path in ("ens.bin", "meas.bin")}
+        monkeypatch.setattr(cli, "load_ensemble", _no_read)
+        monkeypatch.setattr(cli, "load_measurements", _no_read)
+        (tmp_path / "link.bin").symlink_to(name)
+        for out in (str(tmp_path / name), str(tmp_path / "link.bin")):
+            assert main(["recover", "--ensemble", epath, "--measurements", mpath,
+                         "--algorithm", "suppressed", "--out", out]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("randcs recover: --out must not be the --ensemble or "
+                                    "--measurements file\n")
+        assert {path: (tmp_path / path).read_bytes() for path in before} == before
 
     def test_out_into_missing_directory_is_usage_error(self, fixtures, tmp_path, capsys):
         *_, epath, mpath = fixtures

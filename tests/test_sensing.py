@@ -281,22 +281,14 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError):
             measure(ens, np.zeros(8), 0.1, "experiment", 99)
 
-    def test_concurrent_builds_share_one_pool(self, monkeypatch):
-        # more callers than cores, rapid thread switching, first use racing
-        # the pool's creation: one pool of cpu_count threads, same values
+    def test_concurrent_callers_leave_no_sampling_thread(self):
+        # more callers than cores, with rapid thread switching: each pass
+        # makes and joins its own lanes, so every caller gets the bytes of a
+        # lone call and no sampling thread outlives the passes
         cfg = RecoveryConfig(n=40, s=2, k=24, r0=4, master_seed=31)
         ens = build_ensemble(cfg)
         z = generate_binary_signal(31, 40, 2)
         alone = measure(ens, z, 0.1, "experiment", 31)
-        created = []
-        real_executor = sensing.ThreadPoolExecutor
-
-        def counting_executor(**kwargs):
-            created.append((real_executor(**kwargs), kwargs))
-            return created[-1][0]
-
-        monkeypatch.setattr(sensing, "ThreadPoolExecutor", counting_executor)
-        monkeypatch.setattr(sensing, "_sampling_pool", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -308,16 +300,11 @@ class TestBuildEnsemble:
                 )
         finally:
             sys.setswitchinterval(interval)
-            for pool, _ in created:
-                pool.shutdown()
-        assert len(created) == 1
-        assert created[0][1]["max_workers"] == os.cpu_count()
+        assert _sampling_threads() == []
+        kept = back_project(ens, alone, range(4)).tobytes()
         for meas in runs:
-            assert np.array_equal(meas.vectors, alone.vectors)
-            assert np.array_equal(
-                back_project(ens, meas, range(4)),
-                back_project(ens, alone, range(4)),
-            )
+            assert meas.vectors.tobytes() == alone.vectors.tobytes()
+            assert back_project(ens, meas, range(4)).tobytes() == kept
 
     def test_regenerate_many_bit_identical(self, tmp_path):
         # rounds requested out of order land in the order requested, for a
@@ -655,6 +642,11 @@ def _support_sum(A, z):
     return out
 
 
+def _sampling_threads():
+    """Names of the live threads a seeded pass makes."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("randcs-sampling")]
+
+
 class _LaneBuffers:
     """Bytes of lane buffers alive, now and at most: tracemalloc does not see their mappings."""
 
@@ -800,16 +792,13 @@ class TestPass:
         blas = sensing._openblas_threads()
         before = None if blas is None else blas[0]()
 
-        class NoPool:
-            _max_workers = 2
-
-            def submit(self, *args, **kwargs):
-                raise AssertionError("a stored round was sent to the sampling pool")
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a stored pass made a sampling pool")
 
         def no_pin():
             raise AssertionError("a stored pass looked up the BLAS thread pin")
 
-        monkeypatch.setattr(sensing, "_sampling_pool", NoPool())
+        monkeypatch.setattr(sensing, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(sensing, "_openblas_threads", no_pin)
         for ens in stored:
             meas = measure(ens, z, 0.1, "experiment", 71)
@@ -863,8 +852,7 @@ class TestPass:
         # it for every round: the peak of a trial's sensing grows with the
         # rounds by far less than a matrix
         n, k = 300, 100
-        pool = ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        monkeypatch.setattr(sensing.os, "cpu_count", lambda: 1)
         buffers = _LaneBuffers(monkeypatch)
         z = generate_binary_signal(3, n, 3)
 
@@ -878,11 +866,8 @@ class TestPass:
             finally:
                 tracemalloc.stop()
 
-        try:
-            peak(2)
-            small, large = peak(2), peak(12)
-        finally:
-            pool.shutdown()
+        peak(2)
+        small, large = peak(2), peak(12)
         assert abs(large - small) < 8 * n * k
 
     def test_no_buffer_outlives_the_pass(self, monkeypatch):
@@ -903,6 +888,38 @@ class TestPass:
             assert tracemalloc.get_traced_memory()[0] < 8 * n * k
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_sampling_thread_outlives_the_pass(self, monkeypatch, tmp_path, fails):
+        # measure, back_project and dump_ensemble each make their own lanes,
+        # three here, and join them before they return, or before they raise
+        # the error of a lane's round
+        monkeypatch.setattr(sensing.os, "cpu_count", lambda: 3)
+        ens = build_ensemble(RecoveryConfig(n=30, s=2, k=12, r0=3, master_seed=43))
+        z = generate_binary_signal(43, 30, 2)
+        meas = _unkept(measure(ens, z, 0.1, "experiment", 43))
+        names = set()
+        real_sampled = sensing._sampled
+
+        def recording_sampled(matrices, r, cols):
+            names.add(threading.current_thread().name)
+            if fails and r == 2:
+                raise RuntimeError("synthetic lane failure")
+            return real_sampled(matrices, r, cols)
+
+        monkeypatch.setattr(sensing, "_sampled", recording_sampled)
+        passes = (lambda: measure(ens, z, 0.1, "experiment", 43),
+                  lambda: back_project(ens, meas, range(6)),
+                  lambda: dump_ensemble(ens, tmp_path / "ens.bin"))
+        for run in passes:
+            names.clear()
+            if fails:
+                with pytest.raises(RuntimeError, match="synthetic lane failure"):
+                    run()
+            else:
+                run()
+            assert names and all(name.startswith("randcs-sampling") for name in names)
+            assert _sampling_threads() == []
 
     def test_dump_copies_no_matrix(self, monkeypatch, tmp_path):
         # a round is written straight from its lane buffer, so beside the
@@ -927,8 +944,7 @@ class TestPass:
         # on a pool of P threads, measure's full rounds run in ceil(P/2)
         # lanes of one buffer each and its noise-floor rounds hold no matrix
         n, k = 1000, 1500
-        pool = ThreadPoolExecutor(max_workers=threads)
-        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        monkeypatch.setattr(sensing.os, "cpu_count", lambda: threads)
         buffers = _LaneBuffers(monkeypatch)
         ens = build_ensemble(RecoveryConfig(n=n, s=10, k=k, r0=6, master_seed=29))
         z = generate_binary_signal(29, n, 10)
@@ -938,7 +954,6 @@ class TestPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            pool.shutdown()
         assert peak + buffers.peak < (math.ceil(threads / 2) + 1) * 8 * n * k
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -946,8 +961,7 @@ class TestPass:
         # a dump and an unkept back-projection have no streamed round, so
         # all P pool threads sample at once: each sampling waits until P
         # rounds are being sampled together, or the barrier breaks
-        pool = ThreadPoolExecutor(max_workers=threads)
-        monkeypatch.setattr(sensing, "_sampling_pool", pool)
+        monkeypatch.setattr(sensing.os, "cpu_count", lambda: threads)
         ens = build_ensemble(RecoveryConfig(n=30, s=2, k=12, r0=3, master_seed=37))
         meas = _unkept(measure(ens, generate_binary_signal(37, 30, 2), 0.1, "experiment", 37))
         together = threading.Barrier(threads)
@@ -960,14 +974,11 @@ class TestPass:
             return real_sampled(matrices, r, cols)
 
         monkeypatch.setattr(sensing, "_sampled", meeting_sampled)
-        try:
-            dump_ensemble(ens, tmp_path / "ens.bin")
-            assert len(names) == threads
-            names.clear()
-            projected = back_project(ens, meas, range(6))
-            assert len(names) == threads
-        finally:
-            pool.shutdown()
+        dump_ensemble(ens, tmp_path / "ens.bin")
+        assert len(names) == threads
+        names.clear()
+        projected = back_project(ens, meas, range(6))
+        assert len(names) == threads
         stored = load_ensemble(tmp_path / "ens.bin")
         for r in range(6):
             assert np.array_equal(stored.matrices[r], ens.matrices[r])
@@ -982,8 +993,7 @@ class TestPass:
         z = generate_binary_signal(67, 600, 12)
         runs = []
         for threads in (1, 5):
-            pool = ThreadPoolExecutor(max_workers=threads)
-            monkeypatch.setattr(sensing, "_sampling_pool", pool)
+            monkeypatch.setattr(sensing.os, "cpu_count", lambda threads=threads: threads)
             calls = []
             real_sampled = sensing._sampled
 
@@ -1000,7 +1010,6 @@ class TestPass:
             finally:
                 sys.setswitchinterval(interval)
                 monkeypatch.setattr(sensing, "_sampled", real_sampled)
-                pool.shutdown()
             assert sorted(calls) == sorted(list(range(16)) + list(range(16)))
             runs.append((meas.vectors, back_project(ens, meas, range(8)), projected))
         for one, five in zip(*runs):

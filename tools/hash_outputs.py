@@ -20,7 +20,10 @@ column but the timings ``wall_time_s`` and ``gen_time_s``, together with
 each method's predicted support at those trials as ``harness._run_method``
 returns it, so harness edits are checked too.  At sigma_w = 2 OMP misses
 part of the support, and which part moves with the noise draw while its
-scores need not, so a change to the baselines' inputs shows there.
+scores need not, so a change to the baselines' inputs shows there.  The
+rows of ``run_grid`` on one small grid of all four methods are hashed in
+its order, with the same columns, at ``workers`` 1 and 2, so the trial
+runner is checked as well.
 
 OpenBLAS is held at one thread, so the digest does not depend on the
 core count.  Run it on one source tree, or against a git revision:
@@ -59,6 +62,7 @@ CELLS = ((300, 17, 4), (700, 5, 3), (2000, 305, 4), (2002, 40, 3), (4001, 17, 3)
 NOISE = ((0.1, "experiment"), (0.0, "theory"))
 TRIAL_CELLS = ((700, 7, 0.1), (2002, 20, 0.1), (700, 7, 2.0))
 TRIALS = 3
+TIMINGS = ("wall_time_s", "gen_time_s")
 
 
 def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
@@ -86,6 +90,10 @@ def main(source: Path) -> str:
         value = np.ascontiguousarray(value)
         digest.update(f"{label} {value.dtype} {value.shape}".encode())
         digest.update(value.tobytes())
+
+    def feed_row(row) -> None:
+        kept = {k: v for k, v in vars(row).items() if k not in TIMINGS}
+        digest.update(f"{type(row).__name__} {sorted(kept.items())!r}".encode())
 
     with tempfile.TemporaryDirectory() as scratch:
         for n, k, r0 in CELLS:
@@ -138,8 +146,7 @@ def main(source: Path) -> str:
         )
         for trial in range(TRIALS):
             for row in harness.run_trial(grid, n, s, trial):
-                kept = {k: v for k, v in vars(row).items() if k not in ("wall_time_s", "gen_time_s")}
-                digest.update(f"{type(row).__name__} {sorted(kept.items())!r}".encode())
+                feed_row(row)
             # the rows keep only a support's scores; hash the support, from run_trial's inputs
             config = harness.trial_config(grid, n, s, trial)
             signal = sensing.generate_binary_signal(config.master_seed, n, s)
@@ -147,6 +154,15 @@ def main(source: Path) -> str:
             for method in grid.methods:
                 predicted = harness._run_method(grid, config, signal, method, A1)[0]
                 feed(f"{n},{s},{sigma_w} trial {trial} {method} predicted", frozenset(predicted))
+    for workers in (1, 2):
+        grid = harness.ExperimentGrid(
+            n_values=(300, 400), sparsity_fractions=(0.02,), trials=TRIALS, master_seed=7,
+            workers=workers,
+        )
+        outcome = harness.run_grid(grid)
+        digest.update(f"grid at {workers} workers".encode())
+        for row in outcome.results + outcome.failures:
+            feed_row(row)
     return digest.hexdigest()
 
 
