@@ -19,14 +19,17 @@ raises.  A round that needs its whole matrix runs in a lane, a pool thread
 that owns one (n, k) buffer for the pass, samples the round into it as one
 block and uses it at once.  Rounds [r0, 2*r0) of a measurement feed only
 the noise floor, so they are streamed: handed over as blocks of a few
-columns, each drawn when it is asked for, and never held whole.  A pass
-visits rounds and knows nothing of the signal.  A seeded pass samples each
-round once, keeps ceil(P/2) lanes on a pool of P threads when it streams
-and P when it does not, and frees its buffers when it returns; seeded
-passes run one at a time, so the process holds at most one matrix per lane
-however many threads call in.  Because every round has its own stream, and
-OpenBLAS is held at one thread during a seeded pass, a seeded ensemble's
-values do not depend on the thread count.
+columns, each drawn when it is asked for into the first rows of the
+lane's buffer, and never held whole; a lane that owns no full buffer
+streams through a buffer of just those rows.  A pass visits rounds and
+knows nothing of the signal.  A seeded pass samples each round once,
+keeps ceil(P/2) lanes on a pool of P threads when it streams and P when
+it does not, and unmaps every lane's buffer, each an anonymous mapping of
+its own, when it returns; seeded passes run one at a time, so the process
+holds at most one matrix per lane however many threads call in.  Because
+every round has its own stream, and OpenBLAS is held at one thread during
+a seeded pass, a seeded ensemble's values do not depend on the thread
+count.
 
 :func:`measure` is the one place that forms b = A z + w.  A z sums
 z_i * A[:, i] over the signal's support alone, one term at a time in
@@ -320,9 +323,11 @@ def _each_round(
     one (n, k) buffer for the pass, so ``take`` must be done with its blocks
     when it returns: ceil(P/2) lanes when the pass streams, P lanes when it
     does not, and a lane that runs out of full rounds streams.  A streamed
-    round is drawn into a small block (a lane's buffer lends its first
-    rows).  So a pass holds at most one buffer per lane, and drops them all
-    when it returns.
+    round is drawn into the first ``_STREAM_BLOCK_ROWS`` rows of the lane's
+    buffer: its (n, k) buffer, or in a lane that owns none a buffer of
+    min(``_STREAM_BLOCK_ROWS``, n) rows, taken the first time it streams.
+    Every buffer is a :func:`_lane_buffer` mapping, so a pass holds at most
+    one per lane, and unmaps them all when it returns.
 
     Seeded passes run one at a time, whatever the number of calling
     threads, so the buffer bound holds for the process.  For the whole pass
@@ -348,16 +353,16 @@ def _each_round(
                 yield block[None]
 
         try:
-            cols = None
+            # the lane's one mapping: its full buffer, or a streamed block's
+            buffer = None
             while owns_buffer and (r := _pop(full)) is not None:
-                if cols is None:
-                    cols = _lane_buffer(n, k)
-                take(range(r, r + 1), blocks(r, cols))
-            block = None if cols is None else cols[:_STREAM_BLOCK_ROWS]
+                if buffer is None:
+                    buffer = _lane_buffer(n, k)
+                take(range(r, r + 1), blocks(r, buffer))
             while (r := _pop(rest)) is not None:
-                if block is None:
-                    block = np.empty((min(_STREAM_BLOCK_ROWS, n), k))
-                take(range(r, r + 1), blocks(r, block))
+                if buffer is None:
+                    buffer = _lane_buffer(min(_STREAM_BLOCK_ROWS, n), k)
+                take(range(r, r + 1), blocks(r, buffer[:_STREAM_BLOCK_ROWS]))
         except BaseException:
             # the other lanes stop after their current round
             full.clear()
@@ -385,9 +390,12 @@ def _each_round(
 def _lane_buffer(n: int, k: int) -> np.ndarray:
     """An (n, k) buffer in an anonymous mapping of its own, unmapped when its last view goes.
 
-    glibc serves blocks up to the largest size it has unmapped from the
-    allocating thread's arena, and trims that arena only past twice that
-    size, so an ``np.empty`` buffer under 32 MB could stay resident after its pass.
+    A lane takes its full (n, k) sampling buffer here, and a lane that only
+    streams its block of min(``_STREAM_BLOCK_ROWS``, n) rows.  glibc serves
+    blocks up to the largest size it has unmapped from the allocating
+    thread's arena, and trims that arena only past twice that size, so an
+    ``np.empty`` buffer under 32 MB, a streamed block included, could stay
+    resident after its pass.
     """
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty((n, k))

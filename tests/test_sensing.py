@@ -653,6 +653,7 @@ class _LaneBuffers:
     def __init__(self, monkeypatch):
         self._lock = threading.Lock()
         self.live = self.peak = 0
+        self.shapes = set()
         real = sensing._lane_buffer
 
         def counted(n, k):
@@ -662,6 +663,7 @@ class _LaneBuffers:
             while isinstance(owner.base, np.ndarray):
                 owner = owner.base
             with self._lock:
+                self.shapes.add(buf.shape)
                 self.live += buf.nbytes
                 self.peak = max(self.peak, self.live)
             weakref.finalize(owner, self._freed, buf.nbytes)
@@ -955,6 +957,45 @@ class TestPass:
         finally:
             tracemalloc.stop()
         assert peak + buffers.peak < (math.ceil(threads / 2) + 1) * 8 * n * k
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_streamed_blocks_are_lane_buffers(self, monkeypatch, threads):
+        # a lane that owns no full buffer streams through a block of its own
+        # mapping, so tracemalloc, which sees every malloc'd array, never sees
+        # one; each lane's first sampling waits for all P, so the lanes that
+        # own no buffer stream a round while the owners hold their full rounds
+        n, k = 600, 400
+        monkeypatch.setattr(sensing.os, "cpu_count", lambda: threads)
+        buffers = _LaneBuffers(monkeypatch)
+        ens = build_ensemble(RecoveryConfig(n=n, s=10, k=k, r0=4, master_seed=53))
+        z = generate_binary_signal(53, n, 10)
+        together = threading.Barrier(threads)
+        rows = {}
+        real_sampled = sensing._sampled
+
+        def meeting_sampled(matrices, r, cols):
+            name = threading.current_thread().name
+            if name not in rows:
+                rows[name] = set()
+                together.wait(timeout=30)
+            rows[name].add(len(cols))
+            return real_sampled(matrices, r, cols)
+
+        monkeypatch.setattr(sensing, "_sampled", meeting_sampled)
+        tracemalloc.start()
+        try:
+            meas = measure(ens, z, 0.1, "experiment", 53)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        streamers = [name for name, lens in rows.items() if lens == {256}]
+        assert len(rows) == threads and len(streamers) == threads - math.ceil(threads / 2)
+        assert buffers.shapes == {(n, k), (256, k)}
+        assert peak < 8 * 256 * k
+        assert buffers.live == 0
+        for r in range(8):
+            expected = sensing._add_noise(ens.matrices[r] @ z, r, 4, 0.1 / math.sqrt(k), 53)
+            assert np.allclose(meas.vectors[r], expected)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_full_passes_run_on_every_pool_thread(self, monkeypatch, tmp_path, threads):
