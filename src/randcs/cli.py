@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -36,43 +38,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+# each type returns its field's form; argparse's messages name the function
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _float_list(text: str) -> tuple[float, ...]:  # percentages, as fractions
+    return tuple(float(part) / 100.0 for part in text.split(",") if part)
 
 
-def _method_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _method_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _same_file(a, b) -> bool:
+    """Whether two names lead to one file, through a symlink or a hard link.
+
+    Names that lead to no file yet are compared by their real paths.
+    """
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="randcs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each grid flag's dest is its ExperimentGrid field, and each default but
+    # --n's and --sparsity-pct's, which the grid leaves required, is the field's
     bench = sub.add_parser("bench", help="run the benchmark grid", parents=[], add_help=True)
-    bench.add_argument("--n", type=_int_list, default=[2000, 4000, 8000],
-                       help="comma-separated signal sizes (default 2000,4000,8000)")
-    bench.add_argument("--sparsity-pct", type=_float_list, default=[1, 2, 4, 8],
-                       help="comma-separated sparsity percentages of n (default 1,2,4,8)")
-    bench.add_argument("--trials", type=int, default=50,
-                       help="independent trials per cell (default 50; 273 for full runs)")
-    bench.add_argument("--methods", type=_method_list, default=list(METHODS),
+    bench.add_argument("--n", dest="n_values", metavar="N", type=_int_list,
+                       default="2000,4000,8000",
+                       help="comma-separated signal sizes (default %(default)s)")
+    bench.add_argument("--sparsity-pct", dest="sparsity_fractions", metavar="SPARSITY_PCT",
+                       type=_float_list, default="1,2,4,8",
+                       help="comma-separated sparsity percentages of n (default %(default)s)")
+    bench.add_argument("--trials", type=int,
+                       help="independent trials per cell (default %(default)s; 273 for full runs)")
+    bench.add_argument("--methods", type=_method_list,
                        help=f"comma-separated subset of {','.join(METHODS)}")
-    bench.add_argument("--sigma-w", type=float, default=0.1, help="noise level (default 0.1)")
-    bench.add_argument("--noise-mode", choices=NOISE_MODES, default="experiment")
-    bench.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    bench.add_argument("--sigma-w", type=float, help="noise level (default %(default)s)")
+    bench.add_argument("--noise-mode", choices=NOISE_MODES)
+    bench.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="master seed (default %(default)s)")
     bench.add_argument("--out", default="results.csv", help="per-trial CSV path")
     bench.add_argument("--summary", default="summary.txt", help="summary table path")
-    bench.add_argument("--k", type=int, default=None,
+    bench.add_argument("--k", dest="k_override", metavar="K", type=int,
                        help="override measurement count (default ceil(2 s ln n))")
-    bench.add_argument("--r0", type=int, default=None,
+    bench.add_argument("--r0", dest="r0_override", metavar="R0", type=int,
                        help="override round count (default ceil(ln n))")
-    bench.add_argument("--biht-iters", type=int, default=100)
-    bench.add_argument("--biht-step", type=float, default=1.0)
-    bench.add_argument("--workers", type=int, default=1, help="trial worker pool size")
+    bench.add_argument("--biht-iters", dest="biht_max_iters", metavar="BIHT_ITERS", type=int)
+    bench.add_argument("--biht-step", type=float)
+    bench.add_argument("--workers", type=int, help="trial worker pool size")
+    bench.set_defaults(**{f.name: f.default for f in fields(ExperimentGrid)
+                          if f.default is not MISSING})
 
     recover = sub.add_parser("recover", help="run one recovery on fixture files")
     recover.add_argument("--ensemble", required=True, help="ensemble fixture file")
@@ -86,34 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_bench(args) -> int:
     # every output path is settled before the grid, which can run for hours;
-    # outputs are compared as the files they lead to, so a symlink counts as its target
+    # outputs are compared as the files they lead to
     twin = summary_csv_path(args.summary)
-    if os.path.realpath(twin) == os.path.realpath(args.out):
+    if _same_file(twin, args.out):
         twin = str(args.summary) + ".csv"  # keep the twin off the results file
-    files = [os.path.realpath(path) for path in (args.out, args.summary, twin)]
-    if len(set(files)) < 3:
+    paths = (args.out, args.summary, twin)
+    if any(_same_file(a, b) for a, b in combinations(paths, 2)):
         print(f"randcs bench: --out and --summary must name different files, and neither "
               f"may be the summary's CSV twin {twin}", file=sys.stderr)
         return USAGE_ERROR
-    made = [path for path in files if not os.path.exists(path)]
+    made = [path for path in map(os.path.realpath, paths) if not os.path.exists(path)]
     try:
-        grid = ExperimentGrid(
-            n_values=tuple(args.n),
-            sparsity_fractions=tuple(p / 100.0 for p in args.sparsity_pct),
-            trials=args.trials,
-            methods=tuple(args.methods),
-            sigma_w=args.sigma_w,
-            noise_mode=args.noise_mode,
-            master_seed=args.seed,
-            k_override=args.k,
-            r0_override=args.r0,
-            biht_max_iters=args.biht_iters,
-            biht_step=args.biht_step,
-            workers=args.workers,
-        )
+        grid = ExperimentGrid(**{f.name: getattr(args, f.name) for f in fields(ExperimentGrid)})
         # an output the run cannot open (a directory, one in a missing
         # directory, a name too long) is refused now, not after the grid
-        for path in (args.out, args.summary, twin):
+        for path in paths:
             open(path, "a").close()
     except (OSError, ValueError) as exc:
         print(f"randcs bench: {exc}", file=sys.stderr)
@@ -125,9 +133,7 @@ def _run_bench(args) -> int:
     outcome = run_grid(grid)
     try:
         emit_csv(outcome.results, args.out)
-        emit_summary(outcome.summaries, args.summary, twin)
-        with open(args.summary, encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
+        sys.stdout.write(emit_summary(outcome.summaries, args.summary, twin))
     except OSError as exc:
         print(f"randcs bench: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -147,8 +153,7 @@ def _run_recover(args) -> int:
     if args.out and args.algorithm == "support":
         print("randcs recover: --out writes values, and support recovers none", file=sys.stderr)
         return USAGE_ERROR
-    inputs = (os.path.realpath(args.ensemble), os.path.realpath(args.measurements))
-    if args.out and os.path.realpath(args.out) in inputs:
+    if args.out and any(_same_file(args.out, path) for path in (args.ensemble, args.measurements)):
         print("randcs recover: --out must not be the --ensemble or --measurements file",
               file=sys.stderr)
         return USAGE_ERROR

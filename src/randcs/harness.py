@@ -410,13 +410,11 @@ def summary_csv_path(path) -> str:
     return (text if suffix in ("", ".csv") else text[: -len(suffix)]) + ".csv"
 
 
-def emit_summary(rows: Sequence[SummaryRow], path, csv_path=None) -> None:
-    """Write an aligned text table plus a machine-readable CSV twin.
+def emit_summary(rows: Sequence[SummaryRow], path, csv_path) -> str:
+    """Write an aligned text table to ``path`` and its CSV twin to ``csv_path``.
 
-    The twin defaults to :func:`summary_csv_path` of the table path.
+    Returns the table's text, as written.
     """
-    if csv_path is None:
-        csv_path = summary_csv_path(path)
 
     def cell(row: SummaryRow, col: str) -> str:
         value = getattr(row, col)
@@ -428,8 +426,9 @@ def emit_summary(rows: Sequence[SummaryRow], path, csv_path=None) -> None:
 
     table = [list(SUMMARY_COLUMNS)] + [[cell(r, c) for c in SUMMARY_COLUMNS] for r in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(SUMMARY_COLUMNS))]
+    text = "".join("  ".join(val.rjust(w) for val, w in zip(line, widths)).rstrip() + "\n"
+                   for line in table)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in table:
-            fh.write("  ".join(val.rjust(w) for val, w in zip(line, widths)).rstrip() + "\n")
-
+        fh.write(text)
     _write_csv(csv_path, SUMMARY_COLUMNS, rows)
+    return text

@@ -2,13 +2,16 @@ import csv
 import errno
 import hashlib
 import json
+import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import randcs.cli as cli
 from randcs.cli import main
+from randcs.harness import ExperimentGrid, GridOutcome
 from randcs.numerics import GaussianSource
 from randcs.recovery import determine_support, recover_basic, recover_suppressed
 from randcs.sensing import (
@@ -49,6 +52,23 @@ def _no_read(path):
     raise AssertionError(f"{path} was read")
 
 
+def _captured_grids(monkeypatch) -> list:
+    """Patch ``cli.run_grid`` to record each grid it is given and run no trial."""
+    grids = []
+
+    def capture(grid):
+        grids.append(grid)
+        return GridOutcome(results=[], summaries=[], failures=[])
+
+    monkeypatch.setattr(cli, "run_grid", capture)
+    return grids
+
+
+# the grid of `randcs bench` without grid flags
+DEFAULT_GRID = ExperimentGrid(n_values=(2000, 4000, 8000),
+                              sparsity_fractions=(0.01, 0.02, 0.04, 0.08))
+
+
 class TestBenchCommand:
     def test_successful_run(self, tmp_path, capsys):
         args, out, summary = bench_args(tmp_path)
@@ -57,6 +77,7 @@ class TestBenchCommand:
         assert (tmp_path / "summary.csv").exists()
         stdout = capsys.readouterr().out
         assert "mean_R" in stdout
+        assert stdout == summary.read_text()
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 methods x 2 trials
@@ -69,6 +90,30 @@ class TestBenchCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["k"] == "64" and row["r0"] == "4" for row in rows)
+
+    def test_no_grid_flag_gives_the_default_grid(self, tmp_path, monkeypatch):
+        grids = _captured_grids(monkeypatch)
+        assert main(["bench", "--out", str(tmp_path / "results.csv"),
+                     "--summary", str(tmp_path / "summary.txt")]) == 0
+        assert grids == [DEFAULT_GRID]
+
+    def test_each_grid_flag_sets_its_own_field(self, tmp_path, monkeypatch):
+        grids = _captured_grids(monkeypatch)
+        _, out, summary = bench_args(tmp_path)
+        assert main(["bench", "--n", "128,256", "--sparsity-pct", "2,4", "--trials", "3",
+                     "--methods", "omp,biht", "--sigma-w", "0.2", "--noise-mode", "theory",
+                     "--seed", "7", "--k", "64", "--r0", "4", "--biht-iters", "20",
+                     "--biht-step", "0.5", "--workers", "2",
+                     "--out", str(out), "--summary", str(summary)]) == 0
+        assert grids == [ExperimentGrid(
+            n_values=(128, 256), sparsity_fractions=(0.02, 0.04), trials=3,
+            methods=("omp", "biht"), sigma_w=0.2, noise_mode="theory", master_seed=7,
+            k_override=64, r0_override=4, biht_max_iters=20, biht_step=0.5, workers=2,
+        )]
+        # a field that no flag reaches keeps its default
+        kept = [f.name for f in fields(ExperimentGrid)
+                if getattr(grids[0], f.name) == getattr(DEFAULT_GRID, f.name)]
+        assert kept == []
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         args, _, _ = bench_args(tmp_path)
@@ -213,6 +258,46 @@ class TestBenchCommand:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
+    def test_summary_hard_linked_to_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # results.csv and table.txt are one file: the table used to replace the per-trial rows
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, out, _ = bench_args(tmp_path)
+        out.write_text("old\n")
+        os.link(out, tmp_path / "table.txt")
+        args[args.index("--summary") + 1] = str(tmp_path / "table.txt")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        twin = tmp_path / "table.csv"
+        assert captured.err == ("randcs bench: --out and --summary must name different files, "
+                                f"and neither may be the summary's CSV twin {twin}\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "table.txt"]
+        assert out.read_text() == "old\n"
+
+    def test_twin_hard_linked_to_summary_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # summary.csv, the twin of --summary summary.txt, is the table under a second name
+        monkeypatch.setattr(cli, "run_grid", _no_grid)
+        args, _, summary = bench_args(tmp_path)
+        summary.write_text("old\n")
+        os.link(summary, tmp_path / "summary.csv")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"CSV twin {tmp_path / 'summary.csv'}" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv", "summary.txt"]
+        assert summary.read_text() == "old\n"
+
+    def test_twin_hard_linked_to_out_moves_the_twin(self, tmp_path):
+        # link.csv, the twin of --summary link.txt, is the results file under a
+        # second name: the summary's CSV goes to link.txt.csv, as for a symlink
+        args, out, _ = bench_args(tmp_path)
+        out.write_text("old\n")
+        os.link(out, tmp_path / "link.csv")
+        args[args.index("--summary") + 1] = str(tmp_path / "link.txt")
+        assert main(args) == 0
+        assert out.read_text().startswith("method,n,s,k,r0,trial,")
+        assert (tmp_path / "link.txt.csv").read_text().startswith("method,n,s,mean_R")
+
     def test_refused_run_leaves_no_target_of_a_dangling_link(self, tmp_path, monkeypatch):
         # --out leads to a file that does not exist yet: the probe creates it
         # through the link, and a refused run used to leave it behind
@@ -296,13 +381,15 @@ class TestRecoverCommand:
     def test_out_naming_an_input_is_usage_error(self, fixtures, tmp_path, capsys, monkeypatch,
                                                 name):
         # --out meas.bin used to replace the measurement fixture with the values;
-        # the input is named as given and through a link, and neither is read or written
+        # the input is named as given, through a symlink and through a hard link,
+        # and neither is read or written
         *_, epath, mpath = fixtures
         before = {path: (tmp_path / path).read_bytes() for path in ("ens.bin", "meas.bin")}
         monkeypatch.setattr(cli, "load_ensemble", _no_read)
         monkeypatch.setattr(cli, "load_measurements", _no_read)
         (tmp_path / "link.bin").symlink_to(name)
-        for out in (str(tmp_path / name), str(tmp_path / "link.bin")):
+        os.link(tmp_path / name, tmp_path / "hard.bin")
+        for out in (str(tmp_path / name), str(tmp_path / "link.bin"), str(tmp_path / "hard.bin")):
             assert main(["recover", "--ensemble", epath, "--measurements", mpath,
                          "--algorithm", "suppressed", "--out", out]) == 1
             captured = capsys.readouterr()

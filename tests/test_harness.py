@@ -472,7 +472,7 @@ class TestSummaryEmission:
 
     def test_table_and_csv_twin(self, tmp_path):
         path = tmp_path / "summary.txt"
-        emit_summary(self._rows(), path)
+        emit_summary(self._rows(), path, tmp_path / "summary.csv")
         table = path.read_text().splitlines()
         assert table[0].split() == list(harness.SUMMARY_COLUMNS)
         assert len(table) == 3
@@ -486,7 +486,7 @@ class TestSummaryEmission:
                        mean_time_s=4.0, speedup_vs_rand=None)
         ]
         path = tmp_path / "summary.txt"
-        emit_summary(rows, path)
+        emit_summary(rows, path, tmp_path / "summary.csv")
         assert path.read_text().splitlines()[1].endswith("-")
         assert tmp_path.joinpath("summary.csv").read_text().splitlines()[1].endswith(",")
 

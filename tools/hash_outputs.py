@@ -23,7 +23,15 @@ part of the support, and which part moves with the noise draw while its
 scores need not, so a change to the baselines' inputs shows there.  The
 rows of ``run_grid`` on one small grid of all four methods are hashed in
 its order, with the same columns, at ``workers`` 1 and 2, so the trial
-runner is checked as well.
+runner is checked as well.  Last, both commands of the CLI run in this
+process:
+
+* ``randcs bench`` on a small grid of all four methods: its exit code,
+  the results CSV without the timings, and the summary CSV's ``method``,
+  ``n``, ``s``, ``mean_R`` and ``var_R`` columns;
+* ``randcs recover`` with every ``--algorithm`` on one fixture pair: its
+  exit code, its JSON report with the temporary directory taken out, and
+  the ``--out`` file's bytes where the algorithm writes one.
 
 OpenBLAS is held at one thread, so the digest does not depend on the
 core count.  Run it on one source tree, or against a git revision:
@@ -45,6 +53,8 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import subprocess  # noqa: E402
@@ -63,6 +73,7 @@ NOISE = ((0.1, "experiment"), (0.0, "theory"))
 TRIAL_CELLS = ((700, 7, 0.1), (2002, 20, 0.1), (700, 7, 2.0))
 TRIALS = 3
 TIMINGS = ("wall_time_s", "gen_time_s")
+SUMMARY_KEPT = ("method", "n", "s", "mean_R", "var_R")
 
 
 def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
@@ -80,7 +91,7 @@ def _signals(n: int, seed: int, generate_binary_signal) -> list[np.ndarray]:
 
 def main(source: Path) -> str:
     sys.path.insert(0, str(source))
-    from randcs import baselines, harness, recovery, sensing
+    from randcs import baselines, cli, harness, recovery, sensing
 
     digest = hashlib.sha256()
 
@@ -163,6 +174,41 @@ def main(source: Path) -> str:
         digest.update(f"grid at {workers} workers".encode())
         for row in outcome.results + outcome.failures:
             feed_row(row)
+
+    def run_cli(label: str, argv: list[str], scratch: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(argv)
+        digest.update(f"{label} exit {code}".encode())
+        if argv[0] == "recover":  # bench prints its summary table, timings included
+            digest.update(stdout.getvalue().replace(scratch, "<tmp>").encode())
+
+    def feed_columns(label: str, path: Path, kept) -> None:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        columns = [i for i, name in enumerate(header) if kept(name)]
+        table = [[row[i] for i in columns] for row in [header, *rows]]
+        digest.update(f"{label} {table!r}".encode())
+
+    with tempfile.TemporaryDirectory() as scratch:
+        out, summary = Path(scratch) / "results.csv", Path(scratch) / "summary.txt"
+        run_cli("bench", ["bench", "--n", "256,1024", "--sparsity-pct", "1,2", "--trials", "2",
+                          "--out", str(out), "--summary", str(summary)], scratch)
+        feed_columns("bench results", out, lambda name: name not in TIMINGS)
+        feed_columns("bench summary", summary.with_suffix(".csv"), SUMMARY_KEPT.__contains__)
+
+        config = sensing.RecoveryConfig(n=300, s=3, k=17, r0=4, master_seed=9)
+        ensemble = sensing.build_ensemble(config)
+        signal = sensing.generate_binary_signal(9, 300, 3)
+        ens, meas = Path(scratch) / "ens.bin", Path(scratch) / "meas.bin"
+        sensing.dump_ensemble(ensemble, ens)
+        sensing.dump_measurements(sensing.measure(ensemble, signal, 0.1, "experiment", 9), meas)
+        for method in recovery._METHODS:
+            values = Path(scratch) / f"{method}.f64"
+            write = ["--out", str(values)] if method != "support" else []
+            run_cli(f"recover {method}", ["recover", "--ensemble", str(ens), "--measurements",
+                                          str(meas), "--algorithm", method, *write], scratch)
+            if write:
+                digest.update(values.read_bytes())
     return digest.hexdigest()
 
 
